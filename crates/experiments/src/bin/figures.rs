@@ -63,176 +63,91 @@
 //! write. When any telemetry ran, a metrics-registry snapshot
 //! (counters / gauges / histograms) is printed to stderr at the end and
 //! embedded in the `--bench-json` report.
+//! `--help` prints the usage. The command line is validated before any
+//! work starts: an unknown flag or figure id exits with status 2.
 
+use sac_experiments::cli::{self, FiguresCommand};
 use sac_experiments::explain::{self, hit_heavy_trace, miss_heavy_trace, mixed_trace};
 use sac_experiments::runner::{ReplayBatch, REPLAY_CHUNK};
-use sac_experiments::{cli, diff, figures, runner, Config, ResultStore, Suite, Table};
+use sac_experiments::{diff, figures, runner, Config, ResultStore, Suite, Table};
 use sac_obs::registry;
 use sac_obs::span::{self, Span, SpanKey, SpanLevel, TraceMode};
 use sac_trace::{Access, Trace};
 use std::io::{BufWriter, Write};
 use std::time::Instant;
 
-/// Figure ids in paper order.
-const ALL: [&str; 19] = [
-    "fig01a", "fig01b", "fig03a", "fig03b", "fig04a", "fig04b", "fig06a", "fig06b", "fig07a",
-    "fig07b", "fig08a", "fig08b", "fig09a", "fig09b", "fig10a", "fig10b", "fig11a", "fig11b",
-    "fig12",
-];
-
-const ABLATIONS: [&str; 6] = [
-    "abl-bb-size",
-    "abl-bb-ways",
-    "abl-bb-policy",
-    "abl-phys16",
-    "abl-assoc",
-    "abl-bus",
-];
-
-const EXTENSIONS: [&str; 7] = [
-    "ext-var-vlines",
-    "ext-pf-distance",
-    "ext-related",
-    "ext-related-traffic",
-    "ext-miss-classes",
-    "ext-context-switch",
-    "ext-copy-vline",
-];
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let small = args.iter().any(|a| a == "--small");
-    let mut wanted: Vec<String> = Vec::new();
-    let mut store_dir: Option<String> = None;
-    let mut bench_json: Option<String> = None;
-    let mut obs_json: Option<String> = None;
-    let mut timeline_json: Option<String> = None;
-    let mut trace_json: Option<String> = None;
-    let mut trace_logical = false;
-    let mut trace_chunks = false;
-    let mut diff_pairs = false;
-    let mut coherence_pass = false;
-    let mut protocol = sac_experiments::coherence::Protocol::Mesi;
-    let mut iter = args.into_iter();
-    while let Some(a) = iter.next() {
-        match a.as_str() {
-            "--small" => {}
-            "--sequential" => runner::set_jobs(1),
-            "--materialized" => runner::set_replay_mode(runner::ReplayMode::Materialized),
-            "--scalar" => runner::set_probe_mode(runner::ProbeMode::Scalar),
-            "--soa" => runner::set_probe_mode(runner::ProbeMode::Soa),
-            "--store" => {
-                store_dir = Some(iter.next().unwrap_or_else(|| {
-                    eprintln!("--store needs a directory path");
-                    std::process::exit(2);
-                }));
-            }
-            "--cell-jobs" => {
-                let n = cli::positive("--cell-jobs", iter.next()).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
-                runner::set_cell_jobs(n);
-            }
-            "--diff" => diff_pairs = true,
-            "--coherence" => coherence_pass = true,
-            "--protocol" => {
-                let name = iter.next().unwrap_or_else(|| {
-                    eprintln!("--protocol needs a value");
-                    std::process::exit(2);
-                });
-                protocol =
-                    sac_experiments::coherence::Protocol::by_name(&name).unwrap_or_else(|| {
-                        eprintln!(
-                            "--protocol {name:?} not supported ({})",
-                            sac_experiments::coherence::Protocol::CLI_NAMES
-                        );
-                        std::process::exit(2);
-                    });
-            }
-            "--trace-logical" => trace_logical = true,
-            "--trace-chunks" => trace_chunks = true,
-            "--bench-json" => {
-                bench_json = Some(iter.next().unwrap_or_else(|| {
-                    eprintln!("--bench-json needs an output path");
-                    std::process::exit(2);
-                }));
-            }
-            "--obs-json" => {
-                obs_json = Some(iter.next().unwrap_or_else(|| {
-                    eprintln!("--obs-json needs an output path");
-                    std::process::exit(2);
-                }));
-            }
-            "--timeline-json" => {
-                timeline_json = Some(iter.next().unwrap_or_else(|| {
-                    eprintln!("--timeline-json needs an output path");
-                    std::process::exit(2);
-                }));
-            }
-            "--trace-json" => {
-                trace_json = Some(iter.next().unwrap_or_else(|| {
-                    eprintln!("--trace-json needs an output path");
-                    std::process::exit(2);
-                }));
-            }
-            "--jobs" => {
-                let n = cli::positive("--jobs", iter.next()).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
-                runner::set_jobs(n);
-            }
-            _ => {
-                if let Some(n) = a.strip_prefix("--jobs=") {
-                    match cli::positive("--jobs", Some(n.to_string())) {
-                        Ok(n) => runner::set_jobs(n),
-                        Err(e) => {
-                            eprintln!("{e}");
-                            std::process::exit(2);
-                        }
-                    }
-                } else {
-                    wanted.push(a);
-                }
-            }
+    // The whole command line is checked before any work: an unknown flag
+    // or figure id exits 2 here, before suite generation and before the
+    // standalone `--diff` / `--coherence` passes.
+    let args = match cli::parse_figures_args(std::env::args().skip(1)) {
+        Ok(FiguresCommand::Help) => {
+            print!("{}", cli::FIGURES_USAGE);
+            return;
         }
+        Ok(FiguresCommand::Run(args)) => args,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    };
+    let small = args.small;
+    if let Some(n) = args.jobs {
+        runner::set_jobs(n);
     }
+    if let Some(n) = args.cell_jobs {
+        runner::set_cell_jobs(n);
+    }
+    if args.materialized {
+        runner::set_replay_mode(runner::ReplayMode::Materialized);
+    }
+    if let Some(mode) = args.probe_mode {
+        runner::set_probe_mode(mode);
+    }
+    let mut wanted = args.ids;
     // Validate output paths up front (satellite of the telemetry work):
     // a full `figures all` run takes minutes, and discovering a typo'd
     // directory only at the final write would throw all of it away.
-    let mut bench_writer = bench_json.map(|path| match sac_trace::io::create_output(&path) {
-        Ok(f) => (path, f),
-        Err(e) => {
-            eprintln!("--bench-json: {e}");
-            std::process::exit(2);
-        }
-    });
-    let mut obs_writer = obs_json.map(|path| match sac_trace::io::create_output(&path) {
-        Ok(f) => (path, BufWriter::new(f)),
-        Err(e) => {
-            eprintln!("--obs-json: {e}");
-            std::process::exit(2);
-        }
-    });
-    let mut timeline_writer = timeline_json.map(|path| match sac_trace::io::create_output(&path) {
-        Ok(f) => (path, BufWriter::new(f)),
-        Err(e) => {
-            eprintln!("--timeline-json: {e}");
-            std::process::exit(2);
-        }
-    });
-    let mut trace_writer = trace_json.map(|path| match sac_trace::io::create_output(&path) {
-        Ok(f) => (path, BufWriter::new(f)),
-        Err(e) => {
-            eprintln!("--trace-json: {e}");
-            std::process::exit(2);
-        }
-    });
+    let mut bench_writer = args
+        .bench_json
+        .map(|path| match sac_trace::io::create_output(&path) {
+            Ok(f) => (path, f),
+            Err(e) => {
+                eprintln!("--bench-json: {e}");
+                std::process::exit(2);
+            }
+        });
+    let mut obs_writer = args
+        .obs_json
+        .map(|path| match sac_trace::io::create_output(&path) {
+            Ok(f) => (path, BufWriter::new(f)),
+            Err(e) => {
+                eprintln!("--obs-json: {e}");
+                std::process::exit(2);
+            }
+        });
+    let mut timeline_writer =
+        args.timeline_json
+            .map(|path| match sac_trace::io::create_output(&path) {
+                Ok(f) => (path, BufWriter::new(f)),
+                Err(e) => {
+                    eprintln!("--timeline-json: {e}");
+                    std::process::exit(2);
+                }
+            });
+    let mut trace_writer = args
+        .trace_json
+        .map(|path| match sac_trace::io::create_output(&path) {
+            Ok(f) => (path, BufWriter::new(f)),
+            Err(e) => {
+                eprintln!("--trace-json: {e}");
+                std::process::exit(2);
+            }
+        });
     // The store directory is created up front for the same reason the
     // writers are: an unwritable path must fail before the run, not
     // after it.
-    let store = store_dir.map(|dir| match ResultStore::open(&dir) {
+    let store = args.store.map(|dir| match ResultStore::open(&dir) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("--store: {e}");
@@ -246,7 +161,7 @@ fn main() {
     // single-threaded by construction, so the output is byte-identical
     // at any `--jobs` / `--cell-jobs` setting — which is exactly what
     // the CI determinism leg diffs.
-    if diff_pairs {
+    if args.diff {
         run_diff_pairs(small);
         return;
     }
@@ -255,9 +170,12 @@ fn main() {
     // private-vs-shared multi-CPU sweep, built sequentially so the
     // emitted table is byte-identical at any `--jobs` / `--cell-jobs`
     // setting — the property the CI coherence-determinism leg diffs.
-    if coherence_pass {
+    if args.coherence {
         registry::reset_global();
-        println!("{}", sac_experiments::coherence::coherence_table(protocol));
+        println!(
+            "{}",
+            sac_experiments::coherence::coherence_table(args.protocol)
+        );
         // The sweep bumps the coherence.* registry counters; with
         // `--bench-json` they ship as a small standalone artifact so the
         // invalidation/upgrade/c2c totals land next to the replay report.
@@ -276,13 +194,13 @@ fn main() {
     }
 
     if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = ALL.iter().map(|s| s.to_string()).collect();
+        wanted = cli::PAPER_FIGURES.iter().map(|s| s.to_string()).collect();
     }
     if wanted.iter().any(|w| w == "ablations") {
-        wanted = ABLATIONS.iter().map(|s| s.to_string()).collect();
+        wanted = cli::ABLATIONS.iter().map(|s| s.to_string()).collect();
     }
     if wanted.iter().any(|w| w == "extensions") {
-        wanted = EXTENSIONS.iter().map(|s| s.to_string()).collect();
+        wanted = cli::EXTENSIONS.iter().map(|s| s.to_string()).collect();
     }
 
     runner::reset_stats();
@@ -291,7 +209,7 @@ fn main() {
     if tracing {
         span::reset();
         span::set_enabled(true);
-        runner::set_chunk_spans(trace_chunks);
+        runner::set_chunk_spans(args.trace_chunks);
     }
     let start = Instant::now();
 
@@ -361,9 +279,7 @@ fn main() {
                     span::sample_rss(peak_rss_bytes());
                 }
             }
-            None => {
-                eprintln!("unknown figure id: {id} (valid: {ALL:?}, {ABLATIONS:?}, {EXTENSIONS:?})")
-            }
+            None => unreachable!("figure id {id} passed cli::parse_figures_args"),
         }
     }
 
@@ -412,7 +328,7 @@ fn main() {
             span::now_us(),
         ));
         span::sample_rss(peak_rss_bytes());
-        let mode = if trace_logical {
+        let mode = if args.trace_logical {
             TraceMode::Logical
         } else {
             TraceMode::Wall
@@ -430,7 +346,11 @@ fn main() {
         eprintln!(
             "wrote {} pipeline span(s) ({} mode) to {path}",
             spans.len(),
-            if trace_logical { "logical" } else { "wall" }
+            if args.trace_logical {
+                "logical"
+            } else {
+                "wall"
+            }
         );
     }
 

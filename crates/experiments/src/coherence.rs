@@ -24,9 +24,10 @@ use sac_trace::{Access, Trace, MAX_CPUS};
 use sac_workloads::sharing;
 
 /// The snooping protocols the experiments can select.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Protocol {
     /// Invalidation-based MESI (the default).
+    #[default]
     Mesi,
     /// Update-based Dragon.
     Dragon,

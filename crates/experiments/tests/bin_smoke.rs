@@ -17,12 +17,45 @@ fn figures_prints_a_requested_table() {
 #[test]
 fn figures_rejects_unknown_ids() {
     let out = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args(["--small", "fig99"])
+        .args(["--small", "fig06a", "fig99"])
         .output()
         .expect("run figures");
-    // Unknown ids are reported on stderr; the process still succeeds so a
-    // batch of ids is not aborted by one typo.
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown figure id"));
+    // An unknown id fails the whole command with status 2 before any
+    // figure (or the suite behind it) is built.
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "no figure printed");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown figure id: fig99"), "{err}");
+    assert!(
+        !err.contains("generating"),
+        "suite built before the check: {err}"
+    );
+}
+
+#[test]
+fn figures_rejects_unknown_flags_before_standalone_passes() {
+    for args in [&["--coherence", "--bogus"][..], &["--diff", "--bogus"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(args)
+            .output()
+            .expect("run figures");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: pass ran anyway");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag: --bogus"));
+    }
+}
+
+#[test]
+fn figures_help_prints_usage_without_work() {
+    for flag in ["--help", "-h"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .arg(flag)
+            .output()
+            .expect("run figures");
+        assert!(out.status.success(), "{flag}");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE:"));
+        assert!(out.stderr.is_empty(), "{flag} did work: {:?}", out.stderr);
+    }
 }
 
 #[test]

@@ -28,12 +28,20 @@
 //! no coherence transaction is ever priced) — a property the unit tests
 //! pin down.
 //!
-//! **False sharing.** The system keeps, per line and per CPU, a bitmask
-//! of the words that CPU touched since it last (re)filled the line. When
-//! a remote write invalidates a copy, the invalidation is classified
-//! *false sharing* if the victim never touched the word the writer is
-//! modifying — the ping-pong is an artifact of line granularity, not a
-//! data dependence. The masks clear on invalidation and eviction.
+//! **False sharing.** Every tag-array slot of every core carries, next
+//! to its protocol state, a bitmask of the words that CPU touched since
+//! the slot was last filled. When a remote write invalidates a copy, the
+//! invalidation is classified *false sharing* if the victim never
+//! touched the word the writer is modifying — the ping-pong is an
+//! artifact of line granularity, not a data dependence. The mask sits
+//! beside the slot it describes, so no side lookup runs per reference;
+//! it is zeroed when the slot is filled and when its copy is
+//! invalidated.
+//!
+//! **Exclusive write hits.** A write hit on an M or E copy skips the
+//! scan of the remote caches: under the single-writer/multiple-reader
+//! invariant an exclusive copy has no remote holders (debug builds
+//! still assert it).
 
 use crate::{
     BusTx, CacheGeometry, Clock, CoherenceProtocol, FillSource, LineState, MemoryModel, Mesi,
@@ -105,14 +113,32 @@ impl CoherenceStats {
     }
 }
 
-/// One CPU's private cache: tag array, protocol-state sidecar, write
-/// buffer, metrics and probe.
+/// Per-slot coherence metadata of one tag-array entry.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Protocol state, kept in sync with the entry's valid/dirty bits.
+    state: LineState,
+    /// Bitmask of the words (word-in-line index, clamped to 63) this CPU
+    /// touched since the slot was filled. Drives the false-sharing
+    /// classifier.
+    words: u64,
+}
+
+impl Slot {
+    const INVALID: Slot = Slot {
+        state: LineState::Invalid,
+        words: 0,
+    };
+}
+
+/// One CPU's private cache: tag array, per-slot sidecar, write buffer,
+/// metrics and probe.
 #[derive(Debug, Clone)]
 struct Core<P: Probe> {
     tags: TagArray,
-    /// Protocol state per tag-array slot, same global indexing as the
-    /// [`TagArray`]; kept in sync with the entries' valid/dirty bits.
-    state: Vec<LineState>,
+    /// Coherence metadata per tag-array slot, same global indexing as
+    /// the [`TagArray`] (set × ways + way).
+    slots: Vec<Slot>,
     wb: SnoopWriteBuffer,
     metrics: Metrics,
     probe: P,
@@ -152,10 +178,6 @@ pub struct CoherentSystem<Proto: CoherenceProtocol = Mesi, P: Probe = NoopProbe>
     cores: Vec<Core<P>>,
     global: Metrics,
     stats: CoherenceStats,
-    /// Per line, per CPU: bitmask of words (word-in-line index, clamped
-    /// to 63) the CPU touched since it last filled the line. Drives the
-    /// false-sharing classifier.
-    word_masks: BTreeMap<u64, [u64; MAX_CPUS]>,
     _proto: PhantomData<Proto>,
 }
 
@@ -185,7 +207,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
             .into_iter()
             .map(|probe| Core {
                 tags: TagArray::new(geom),
-                state: vec![LineState::Invalid; geom.lines() as usize],
+                slots: vec![Slot::INVALID; geom.lines() as usize],
                 wb: SnoopWriteBuffer::new(8, retire),
                 metrics: Metrics::new(),
                 probe,
@@ -199,7 +221,6 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
             cores,
             global: Metrics::new(),
             stats,
-            word_masks: BTreeMap::new(),
             _proto: PhantomData,
         }
     }
@@ -266,29 +287,13 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
         }
     }
 
-    /// Word-in-line bit index of an address (clamped to the 64-bit mask
-    /// width; lines above 512 bytes alias their tail words, which only
-    /// makes the false-sharing classifier conservative).
+    /// Word-in-line bit index of `addr`, which lies in `line` (clamped
+    /// to the 64-bit mask width; lines above 512 bytes alias their tail
+    /// words, which only makes the false-sharing classifier
+    /// conservative).
     #[inline]
-    fn word_bit(&self, addr: u64) -> u32 {
-        ((addr % self.geom.line_bytes()) / WORD_BYTES).min(63) as u32
-    }
-
-    /// Whether `cpu` touched word `bit` of `line` since it last filled
-    /// the line.
-    fn word_touched(&self, cpu: usize, line: u64, bit: u32) -> bool {
-        self.word_masks
-            .get(&line)
-            .is_some_and(|m| m[cpu] >> bit & 1 == 1)
-    }
-
-    fn clear_mask(&mut self, cpu: usize, line: u64) {
-        if let Some(m) = self.word_masks.get_mut(&line) {
-            m[cpu] = 0;
-            if m.iter().all(|&w| w == 0) {
-                self.word_masks.remove(&line);
-            }
-        }
+    fn word_bit(&self, addr: u64, line: u64) -> u32 {
+        ((addr - line * self.geom.line_bytes()) / WORD_BYTES).min(63) as u32
     }
 
     #[inline]
@@ -343,7 +348,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
             let Some(ridx) = self.cores[c].tags.peek(line) else {
                 continue;
             };
-            let state = self.cores[c].state[ridx];
+            let state = self.cores[c].slots[ridx].state;
             debug_assert!(state.is_valid(), "valid tag with Invalid sidecar state");
             let r = if is_write {
                 Proto::snoop_write(state)
@@ -373,9 +378,8 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
             }
             if r.next == LineState::Invalid {
                 self.cores[c].tags.invalidate(line);
-                self.cores[c].state[ridx] = LineState::Invalid;
-                let false_sharing = !self.word_touched(c, line, writer_bit);
-                self.clear_mask(c, line);
+                let slot = std::mem::replace(&mut self.cores[c].slots[ridx], Slot::INVALID);
+                let false_sharing = slot.words >> writer_bit & 1 == 0;
                 self.stats.per_cpu[c].invalidations_received += 1;
                 self.stats.per_cpu[c].false_sharing_invalidations += u64::from(false_sharing);
                 self.stats.per_cpu[requester].invalidations_sent += 1;
@@ -387,7 +391,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
                         .on_event(&Event::MainEvict { line, dirty: false });
                 }
             } else {
-                self.cores[c].state[ridx] = r.next;
+                self.cores[c].slots[ridx].state = r.next;
                 self.cores[c].tags.entry_at_mut(ridx).dirty = r.next.is_dirty();
                 out.holders_after += 1;
             }
@@ -409,8 +413,8 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
             let Some(ridx) = self.cores[c].tags.peek(line) else {
                 continue;
             };
-            let next = Proto::snoop_update(self.cores[c].state[ridx]);
-            self.cores[c].state[ridx] = next;
+            let next = Proto::snoop_update(self.cores[c].slots[ridx].state);
+            self.cores[c].slots[ridx].state = next;
             self.cores[c].tags.entry_at_mut(ridx).dirty = next.is_dirty();
         }
         self.stats.per_cpu[writer].updates += 1;
@@ -432,18 +436,19 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
         self.cores[cpu].metrics.stall_cycles += stall;
         self.global.stall_cycles += stall;
         let line = self.geom.line_of(a.addr());
-        let bit = self.word_bit(a.addr());
+        let bit = self.word_bit(a.addr(), line);
         if P::ENABLED {
             self.cores[cpu].probe.on_ref(a.addr(), line, is_write);
         }
-        if let Some(idx) = self.cores[cpu].tags.probe(line) {
+        let idx = if let Some(idx) = self.cores[cpu].tags.probe(line) {
             self.hit(cpu, idx, line, bit, is_write, stall);
+            idx
         } else {
-            self.miss(cpu, a.addr(), line, bit, is_write, stall);
-        }
+            self.miss(cpu, a.addr(), line, bit, is_write, stall)
+        };
         // Note the touched word *after* the snoop so a write's own mask
         // bit never classifies its victims.
-        self.word_masks.entry(line).or_default()[cpu] |= 1 << bit;
+        self.cores[cpu].slots[idx].words |= 1 << bit;
         self.cores[cpu].metrics.debug_check_invariants();
         self.global.debug_check_invariants();
     }
@@ -453,8 +458,11 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
         self.global.main_hits += 1;
         let mut cost = stall + MAIN_HIT_CYCLES;
         if is_write {
-            let state = self.cores[cpu].state[idx];
-            let shared_elsewhere = self.remote_holders(cpu, line) > 0;
+            let state = self.cores[cpu].slots[idx].state;
+            // Under SWMR an M or E copy is the only copy: skip the scan.
+            let exclusive = matches!(state, LineState::Modified | LineState::Exclusive);
+            debug_assert!(!exclusive || self.remote_holders(cpu, line) == 0);
+            let shared_elsewhere = !exclusive && self.remote_holders(cpu, line) > 0;
             let (next, action) = Proto::write_hit(state, shared_elsewhere);
             match action {
                 WriteHitAction::Upgrade => {
@@ -473,13 +481,22 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
                 }
                 WriteHitAction::None => {}
             }
-            self.cores[cpu].state[idx] = next;
+            self.cores[cpu].slots[idx].state = next;
             self.cores[cpu].tags.entry_at_mut(idx).dirty = next.is_dirty();
         }
         self.charge(cpu, cost);
     }
 
-    fn miss(&mut self, cpu: usize, addr: u64, line: u64, bit: u32, is_write: bool, stall: u64) {
+    /// Handles a miss and returns the slot the line was filled into.
+    fn miss(
+        &mut self,
+        cpu: usize,
+        addr: u64,
+        line: u64,
+        bit: u32,
+        is_write: bool,
+        stall: u64,
+    ) -> usize {
         self.cores[cpu].metrics.misses += 1;
         self.global.misses += 1;
         let snoop = self.snoop_remotes(cpu, line, is_write, bit);
@@ -521,23 +538,23 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
         let old = self.cores[cpu]
             .tags
             .fill(line, way, addr, new_state.is_dirty());
-        if old.valid {
-            self.clear_mask(cpu, old.line);
-            if old.dirty {
-                self.cores[cpu].metrics.writebacks += 1;
-                self.global.writebacks += 1;
-                let wb_stall = self.cores[cpu].wb.push_line(now, old.line);
-                self.cores[cpu].metrics.stall_cycles += wb_stall;
-                self.global.stall_cycles += wb_stall;
-                cost += wb_stall;
-                if P::ENABLED {
-                    self.cores[cpu]
-                        .probe
-                        .on_event(&Event::Writeback { line: old.line });
-                }
+        if old.valid && old.dirty {
+            self.cores[cpu].metrics.writebacks += 1;
+            self.global.writebacks += 1;
+            let wb_stall = self.cores[cpu].wb.push_line(now, old.line);
+            self.cores[cpu].metrics.stall_cycles += wb_stall;
+            self.global.stall_cycles += wb_stall;
+            cost += wb_stall;
+            if P::ENABLED {
+                self.cores[cpu]
+                    .probe
+                    .on_event(&Event::Writeback { line: old.line });
             }
         }
-        self.cores[cpu].state[vidx] = new_state;
+        self.cores[cpu].slots[vidx] = Slot {
+            state: new_state,
+            words: 0,
+        };
         if P::ENABLED {
             let victim = old.valid.then_some(sac_obs::Victim {
                 line: old.line,
@@ -562,6 +579,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
             self.update_remotes(cpu, line);
         }
         self.charge(cpu, cost);
+        vidx
     }
 
     /// Verifies the single-writer/multiple-reader invariant over every
@@ -575,7 +593,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
                 if !e.valid {
                     continue;
                 }
-                let s = core.state[idx];
+                let s = core.slots[idx].state;
                 if !s.is_valid() {
                     return Err(format!(
                         "cpu {c} holds line {} with Invalid protocol state",

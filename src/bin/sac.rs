@@ -50,7 +50,7 @@ fn main() -> ExitCode {
         Some("trace") => cmd_trace(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
         Some("simulate") => cmd_simulate(&args[1..]),
-        Some("help") | None => {
+        Some("help" | "--help" | "-h") | None => {
             print_usage();
             Ok(())
         }
@@ -70,6 +70,7 @@ fn print_usage() {
         "sac — software-assisted data-cache toolkit (Temam & Drach, HPCA'95)
 
 USAGE:
+  sac help | --help | -h           print this help
   sac list                         list benchmarks and cache configurations
   sac pseudo <benchmark> [--small] print the annotated kernel listing
   sac validate <benchmark>         static subscript-bounds check

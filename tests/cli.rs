@@ -175,3 +175,59 @@ fn deterministic_traces_across_invocations() {
     std::fs::remove_file(&a).ok();
     std::fs::remove_file(&b).ok();
 }
+
+#[test]
+fn help_flags_alias_the_help_command() {
+    let help = sac().arg("help").output().expect("run sac help");
+    assert!(help.status.success());
+    assert!(String::from_utf8_lossy(&help.stdout).contains("USAGE:"));
+    for flag in ["--help", "-h"] {
+        let out = sac().arg(flag).output().expect("run sac");
+        assert!(out.status.success(), "sac {flag}");
+        assert_eq!(out.stdout, help.stdout, "sac {flag} prints the usage");
+    }
+}
+
+/// `figures` parses its whole command line before any work (the binary
+/// maps `Err` to exit status 2 and `Help` to the usage with status 0).
+#[test]
+fn figures_command_line_fails_fast() {
+    use software_assisted_caches::experiments::cli::{parse_figures_args, FiguresCommand};
+    let parse = |args: &[&str]| parse_figures_args(args.iter().map(|a| a.to_string()));
+
+    for help in [&["--help"][..], &["-h"], &["--small", "--help", "fig99"]] {
+        assert_eq!(parse(help), Ok(FiguresCommand::Help), "{help:?}");
+    }
+    for (args, needle) in [
+        (&["--coherence", "--bogus"][..], "unknown flag: --bogus"),
+        (&["--diff", "-x"], "unknown flag: -x"),
+        (&["--small", "fig99"], "unknown figure id: fig99"),
+        (&["--coherence", "fig6a"], "unknown figure id: fig6a"),
+        (&["--jobs=0"], "--jobs needs a positive integer"),
+        (&["--cell-jobs"], "--cell-jobs needs a positive integer"),
+        (&["--protocol", "moesi"], "not supported"),
+        (&["--store"], "--store needs a value"),
+    ] {
+        match parse(args) {
+            Err(e) => assert!(e.contains(needle), "{args:?}: {e}"),
+            Ok(c) => panic!("{args:?} parsed as {c:?}"),
+        }
+    }
+
+    let Ok(FiguresCommand::Run(run)) = parse(&[
+        "--small",
+        "--jobs",
+        "3",
+        "--sequential",
+        "fig06a",
+        "ablations",
+        "--coherence",
+        "--protocol",
+        "dragon",
+    ]) else {
+        panic!("valid command line rejected");
+    };
+    assert!(run.small && run.coherence);
+    assert_eq!(run.jobs, Some(1), "the last of --jobs / --sequential wins");
+    assert_eq!(run.ids, ["fig06a", "ablations"]);
+}
