@@ -135,16 +135,6 @@ impl<P: Probe> CachePolicy<P> for AssistPolicy {
     }
 
     #[inline]
-    fn probe_main_soa(&mut self, line: u64) -> Option<usize> {
-        self.main.probe_soa(line)
-    }
-
-    #[inline]
-    fn before_access_inert(&self) -> bool {
-        true
-    }
-
-    #[inline]
     fn touch_hit(&mut self, idx: usize, a: &Access) {
         let e = self.main.entry_at_mut(idx);
         if a.kind().is_write() {
@@ -153,13 +143,6 @@ impl<P: Probe> CachePolicy<P> for AssistPolicy {
         if a.temporal() {
             e.temporal = true;
         }
-    }
-
-    #[inline]
-    fn touch_hit_run(&mut self, idx: usize, _run: &[Access], any_write: bool, any_temporal: bool) {
-        let e = self.main.entry_at_mut(idx);
-        e.dirty |= any_write;
-        e.temporal |= any_temporal;
     }
 
     fn miss(
@@ -307,18 +290,6 @@ impl<P: Probe> CacheSim for AssistCache<P> {
 
     fn run_chunk(&mut self, chunk: &[Access]) {
         self.engine.run_chunk(chunk);
-    }
-
-    fn run_chunk_soa(&mut self, chunk: &[Access]) {
-        self.engine.run_chunk_soa(chunk);
-    }
-
-    fn run_chunk_fused(&mut self, chunk: &[Access], runs: &sac_simcache::LineRuns) {
-        self.engine.run_chunk_fused(chunk, runs);
-    }
-
-    fn fused_shift(&self) -> Option<u32> {
-        self.engine.fused_shift()
     }
 
     fn invalidate_all(&mut self) {

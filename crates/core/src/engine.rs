@@ -512,20 +512,6 @@ impl<P: Probe> CachePolicy<P> for SoftPolicy {
     }
 
     #[inline]
-    fn probe_main_soa(&mut self, line: u64) -> Option<usize> {
-        self.main.probe_soa(line)
-    }
-
-    #[inline]
-    fn before_access_inert(&self) -> bool {
-        // Inert exactly while no prefetch is in flight: `before_access`
-        // only settles arrivals, so with an empty in-flight queue a hit
-        // run cannot change behavior (prefetches are only issued from
-        // miss paths, which end the run).
-        self.inflight.is_empty()
-    }
-
-    #[inline]
     fn touch_hit(&mut self, idx: usize, a: &Access) {
         let entry = self.main.entry_at_mut(idx);
         if a.kind().is_write() {
@@ -534,14 +520,6 @@ impl<P: Probe> CachePolicy<P> for SoftPolicy {
         if self.cfg.use_temporal && a.temporal() {
             entry.temporal = true;
         }
-        entry.prefetched = false;
-    }
-
-    #[inline]
-    fn touch_hit_run(&mut self, idx: usize, _run: &[Access], any_write: bool, any_temporal: bool) {
-        let entry = self.main.entry_at_mut(idx);
-        entry.dirty |= any_write;
-        entry.temporal |= self.cfg.use_temporal && any_temporal;
         entry.prefetched = false;
     }
 
@@ -678,18 +656,6 @@ impl<P: Probe> CacheSim for SoftCache<P> {
 
     fn run_chunk(&mut self, chunk: &[Access]) {
         self.engine.run_chunk(chunk);
-    }
-
-    fn run_chunk_soa(&mut self, chunk: &[Access]) {
-        self.engine.run_chunk_soa(chunk);
-    }
-
-    fn run_chunk_fused(&mut self, chunk: &[Access], runs: &sac_simcache::LineRuns) {
-        self.engine.run_chunk_fused(chunk, runs);
-    }
-
-    fn fused_shift(&self) -> Option<u32> {
-        self.engine.fused_shift()
     }
 
     fn invalidate_all(&mut self) {

@@ -15,15 +15,9 @@
 //! run summary (cells done, slowest cells, aggregate speedup) goes to
 //! stderr at the end.
 //!
-//! Replay runs chunked by default (every configuration of a sweep row
-//! advances through the trace in one pass); `--materialized` replays one
-//! configuration at a time over the whole trace instead — the output is
-//! bit-identical, the flag exists so CI can diff the two paths. Batch
-//! replay decodes each chunk once into a shared fused probe arena that
-//! feeds every engine by default; `--soa` makes each engine re-derive
-//! its own structure-of-arrays probe columns, and `--scalar` selects the
-//! per-entry reference probe — all three are bit-identical, the flags
-//! exist so CI can diff the fast path against its twins.
+//! Every sweep row replays as one batch: each configuration of the row
+//! advances through the same decoded chunk before the next chunk is
+//! touched, all through the engines' one scalar `run_chunk` loop.
 //! `--cell-jobs N` additionally shards each replay cell's engines across
 //! N worker threads (deterministic: partial metrics fold in engine
 //! order); the default is 1, as cross-cell sharding via `--jobs` already
@@ -45,9 +39,9 @@
 //! named by `--protocol mesi|dragon`. Rows run sequentially, so the
 //! table is byte-identical at any `--jobs` setting.
 //! `--bench-json PATH` additionally times raw / hit-heavy / miss-heavy
-//! replay micro-benchmarks in both probe modes and writes a JSON report
-//! (SoA and scalar refs/sec, speedup, peak RSS estimate, per-figure
-//! wall-clock, runner-level cell spans) to PATH.
+//! replay micro-benchmarks and writes a JSON report (refs/sec, store
+//! cold/warm, peak RSS estimate, per-figure wall-clock, runner-level
+//! cell spans) to PATH.
 //! `--obs-json PATH` runs one instrumented standard + soft cell with the
 //! full `TracingProbe` and writes the telemetry as JSON Lines to PATH.
 //! `--timeline-json PATH` runs windowed-timeline cells (standard,
@@ -97,12 +91,6 @@ fn main() {
     }
     if let Some(n) = args.cell_jobs {
         runner::set_cell_jobs(n);
-    }
-    if args.materialized {
-        runner::set_replay_mode(runner::ReplayMode::Materialized);
-    }
-    if let Some(mode) = args.probe_mode {
-        runner::set_probe_mode(mode);
     }
     let mut wanted = args.ids;
     // Validate output paths up front (satellite of the telemetry work):
@@ -437,9 +425,9 @@ fn write_obs_jsonl(w: &mut impl Write) -> std::io::Result<()> {
 /// Replays `trace` through a Standard + Victim + Soft batch and reports
 /// engine references per second (each engine sees every reference once).
 /// Best of three rounds: single replays finish in tens of milliseconds,
-/// where one scheduling hiccup would skew the recorded baseline that the
-/// `explain --bench-guard` CI tripwire later compares against. The batch
-/// composition must stay in lockstep with the guard's.
+/// where one scheduling hiccup would skew the recorded rate. The batch
+/// composition must stay in lockstep with the advisory rate that
+/// `explain --bench-guard` prints against it.
 fn time_replay(trace: &Trace) -> (u64, f64, f64) {
     let mut best: Option<(u64, f64, f64)> = None;
     for round in 0..3 {
@@ -457,32 +445,6 @@ fn time_replay(trace: &Trace) -> (u64, f64, f64) {
             format!("bench/{}/soft/{round}", trace.name()),
             &Config::soft(),
         );
-        let engines = batch.len() as u64;
-        let metrics = batch.replay(trace);
-        let wall = start.elapsed().as_secs_f64();
-        let engine_refs: u64 = metrics.iter().map(|m| m.refs).sum();
-        assert_eq!(engine_refs, trace.len() as u64 * engines);
-        let rate = engine_refs as f64 / wall;
-        if best.is_none_or(|(_, _, r)| rate > r) {
-            best = Some((engine_refs, wall, rate));
-        }
-    }
-    best.expect("three rounds ran")
-}
-
-/// Replays `trace` through the widest batch — one engine per cache
-/// organization — and reports engine refs/sec (best of three rounds).
-/// The fused probe pass amortizes one address decode across all eight
-/// engines, so this is the shape where it wins most; the same batch
-/// composition backs the `explain --bench-guard` fused tripwire.
-fn time_replay_wide(trace: &Trace) -> (u64, f64, f64) {
-    let mut best: Option<(u64, f64, f64)> = None;
-    for round in 0..3 {
-        let start = Instant::now();
-        let mut batch = ReplayBatch::new();
-        for (name, config) in Config::all_organizations() {
-            batch.push(format!("bench/{}/{name}/{round}", trace.name()), &config);
-        }
         let engines = batch.len() as u64;
         let metrics = batch.replay(trace);
         let wall = start.elapsed().as_secs_f64();
@@ -573,53 +535,20 @@ fn bench_report(suite: Option<&Suite>, figure_walls: &[(String, f64)], total_wal
         ("hit_heavy", hit_heavy_trace(BENCH_LEN)),
         ("miss_heavy", miss_heavy_trace(BENCH_LEN)),
     ];
-    let mut out = String::from("{\n  \"schema\": \"sac-bench-replay-v3\",\n");
+    let mut out = String::from("{\n  \"schema\": \"sac-bench-replay-v4\",\n");
     out.push_str(&format!("  \"jobs\": {},\n", runner::jobs()));
-    out.push_str(&format!(
-        "  \"replay_mode\": \"{}\",\n",
-        match runner::replay_mode() {
-            runner::ReplayMode::Chunked => "chunked",
-            runner::ReplayMode::Materialized => "materialized",
-        }
-    ));
     out.push_str("  \"replay\": {\n");
-    // Time every shape in both probe modes: `refs_per_sec` is the SoA
-    // fast path (what the CI bench-guard re-times), the scalar rate and
-    // the derived speedup are committed alongside so the snapshot itself
-    // documents the fast path's win — and a portable, machine-relative
-    // ratio the guard can check across hosts.
-    let entry_mode = runner::probe_mode();
     for (i, (name, trace)) in shapes.iter().enumerate() {
-        runner::set_probe_mode(runner::ProbeMode::Scalar);
-        let (_, _, scalar_rate) = time_replay(trace);
-        runner::set_probe_mode(runner::ProbeMode::Soa);
         let (engine_refs, wall, rate) = time_replay(trace);
-        let speedup = rate / scalar_rate;
         out.push_str(&format!(
-            "    \"{name}\": {{\"engine_refs\": {engine_refs}, \"wall_s\": {wall:.6}, \"refs_per_sec\": {rate:.0}, \"scalar_refs_per_sec\": {scalar_rate:.0}, \"speedup\": {speedup:.3}}}{}\n",
+            "    \"{name}\": {{\"engine_refs\": {engine_refs}, \"wall_s\": {wall:.6}, \"refs_per_sec\": {rate:.0}}}{}\n",
             if i + 1 < shapes.len() { "," } else { "" }
         ));
     }
     out.push_str("  },\n");
-    // The fused row: the widest batch (every organization at once) on
-    // the hit-heavy shape, fused probe pass vs per-engine SoA. The ratio
-    // is the committed baseline for the CI fused-vs-SoA bench guard.
-    let hit_heavy = &shapes[1].1;
-    runner::set_probe_mode(runner::ProbeMode::Soa);
-    let (_, _, soa_rate) = time_replay_wide(hit_heavy);
-    runner::set_probe_mode(runner::ProbeMode::Fused);
-    let (engine_refs, wall, fused_rate) = time_replay_wide(hit_heavy);
-    runner::set_probe_mode(entry_mode);
-    out.push_str("  \"fused\": {\n");
-    out.push_str(&format!(
-        "    \"hit_heavy_multi\": {{\"configs\": {}, \"engine_refs\": {engine_refs}, \"wall_s\": {wall:.6}, \"refs_per_sec\": {fused_rate:.0}, \"soa_refs_per_sec\": {soa_rate:.0}, \"fused_speedup\": {:.3}}}\n",
-        Config::all_organizations().len(),
-        fused_rate / soa_rate
-    ));
-    out.push_str("  },\n");
     // The store row: cold replay-and-save vs warm lookup of the same
     // cells, documenting what a warm `--store` sweep saves.
-    let (cells, cold, warm) = time_store_warm(hit_heavy);
+    let (cells, cold, warm) = time_store_warm(&shapes[1].1);
     out.push_str(&format!(
         "  \"store\": {{\"cells\": {cells}, \"cold_wall_s\": {cold:.6}, \"warm_wall_s\": {warm:.6}, \"warm_speedup\": {:.1}}},\n",
         cold / warm

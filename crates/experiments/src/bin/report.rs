@@ -10,24 +10,40 @@
 //!
 //! Sweep cells are sharded across a worker pool (`--jobs N` pins the
 //! count, `--sequential` is `--jobs 1`, default all cores); the tables
-//! are bit-identical either way. A run summary goes to stderr.
+//! are bit-identical either way. A run summary goes to stderr. The whole
+//! command line is validated first: `--help` prints the usage, and an
+//! unknown flag or stray argument exits with status 2 before any trace
+//! is generated.
 
+use sac_experiments::cli::{self, ReportCommand};
 use sac_experiments::{figures, runner, Suite};
 use std::time::Instant;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let small = args.iter().any(|a| a == "--small");
-    if args.iter().any(|a| a == "--sequential") {
-        runner::set_jobs(1);
+    // The whole command line is checked before any work: an unknown flag
+    // or stray argument exits 2 here, before suite generation.
+    let args = match cli::parse_report_args(std::env::args().skip(1)) {
+        Ok(ReportCommand::Help) => {
+            print!("{}", cli::REPORT_USAGE);
+            return;
+        }
+        Ok(ReportCommand::Run(args)) => args,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    };
+    let small = args.small;
+    if let Some(n) = args.jobs {
+        runner::set_jobs(n);
     }
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            Some(n) => runner::set_jobs(n),
-            None => {
-                eprintln!("--jobs needs a positive integer");
-                std::process::exit(2);
-            }
+    // Created up front: an unwritable directory must fail before the
+    // run, not after it.
+    let csv_dir = args.csv.map(std::path::PathBuf::from);
+    if let Some(dir) = &csv_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("--csv: cannot create {}: {e}", dir.display());
+            std::process::exit(2);
         }
     }
 
@@ -84,14 +100,9 @@ fn main() {
         figures::ablation_associativity(&suite),
         figures::ablation_bus_width(&suite),
     ];
-    let csv_dir = std::env::args()
-        .skip_while(|a| a != "--csv")
-        .nth(1)
-        .map(std::path::PathBuf::from);
     for t in &tables {
         println!("{}", t.to_markdown());
         if let Some(dir) = &csv_dir {
-            std::fs::create_dir_all(dir).expect("create csv dir");
             let slug: String = t
                 .title()
                 .chars()

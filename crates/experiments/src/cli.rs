@@ -1,10 +1,9 @@
-//! Tiny argument-parsing helpers shared by the `explain` and `figures`
-//! binaries (the build is offline: no clap), and the whole command line
-//! of `figures`, parsed up front so a bad flag or figure id fails before
-//! any work starts.
+//! Tiny argument-parsing helpers shared by the `explain`, `figures` and
+//! `report` binaries (the build is offline: no clap), and the whole
+//! command lines of `figures` and `report`, parsed up front so a bad
+//! flag or figure id fails before any work starts.
 
 use crate::coherence::Protocol;
-use crate::runner::ProbeMode;
 use std::str::FromStr;
 
 /// The paper's figure ids, in paper order (`figures all`).
@@ -47,8 +46,6 @@ OPTIONS:
   --jobs <n>, --jobs=<n>           worker count (default: every core)
   --sequential                     same as --jobs 1
   --cell-jobs <n>                  shard each cell's engines over n threads
-  --materialized                   replay one configuration at a time
-  --soa | --scalar                 per-engine probe paths instead of fused
   --store <dir>                    content-addressed result store
   --diff                           lockstep-diff every organization against
                                    the standard cache instead of figures
@@ -81,10 +78,6 @@ pub struct FiguresArgs {
     pub jobs: Option<usize>,
     /// `--cell-jobs N`.
     pub cell_jobs: Option<usize>,
-    /// `--materialized`.
-    pub materialized: bool,
-    /// `--soa` / `--scalar` (last one wins).
-    pub probe_mode: Option<ProbeMode>,
     /// `--store DIR`.
     pub store: Option<String>,
     /// `--diff`.
@@ -137,9 +130,6 @@ pub fn parse_figures_args(
             "-h" | "--help" => return Ok(FiguresCommand::Help),
             "--small" => out.small = true,
             "--sequential" => out.jobs = Some(1),
-            "--materialized" => out.materialized = true,
-            "--scalar" => out.probe_mode = Some(ProbeMode::Scalar),
-            "--soa" => out.probe_mode = Some(ProbeMode::Soa),
             "--diff" => out.diff = true,
             "--coherence" => out.coherence = true,
             "--trace-logical" => out.trace_logical = true,
@@ -177,6 +167,75 @@ pub fn parse_figures_args(
         }
     }
     Ok(FiguresCommand::Run(out))
+}
+
+/// `report --help`.
+pub const REPORT_USAGE: &str = "\
+report — print every table of the paper's results as markdown
+
+USAGE:
+  report [options]
+OPTIONS:
+  --small                          scaled-down problem sizes
+  --jobs <n>, --jobs=<n>           worker count (default: every core)
+  --sequential                     same as --jobs 1
+  --csv <dir>                      also write one CSV per table into dir
+  -h, --help                       print this help
+";
+
+/// The `report` command line, parsed and validated.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ReportArgs {
+    /// `--small`.
+    pub small: bool,
+    /// `--jobs N` / `--sequential` (last one wins).
+    pub jobs: Option<usize>,
+    /// `--csv DIR`.
+    pub csv: Option<String>,
+}
+
+/// What a `report` command line asks for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReportCommand {
+    /// `--help` / `-h`: print [`REPORT_USAGE`] and exit 0.
+    Help,
+    /// A run.
+    Run(ReportArgs),
+}
+
+/// Parses the `report` command line (without the program name).
+///
+/// # Errors
+///
+/// Returns the message the binary dies with (exit 2) for an unknown
+/// flag, a stray argument, a flag missing its value or a bad count.
+/// Arguments are read in order; `--help` returns as soon as it is
+/// reached.
+pub fn parse_report_args(args: impl IntoIterator<Item = String>) -> Result<ReportCommand, String> {
+    let mut out = ReportArgs::default();
+    let mut iter = args.into_iter();
+    while let Some(a) = iter.next() {
+        match a.as_str() {
+            "-h" | "--help" => return Ok(ReportCommand::Help),
+            "--small" => out.small = true,
+            "--sequential" => out.jobs = Some(1),
+            "--jobs" => out.jobs = Some(positive("--jobs", iter.next())?),
+            "--csv" => out.csv = Some(iter.next().ok_or("--csv needs a value")?),
+            _ => {
+                if let Some(n) = a.strip_prefix("--jobs=") {
+                    out.jobs = Some(positive("--jobs", Some(n.to_string()))?);
+                } else if a.starts_with('-') {
+                    return Err(format!("unknown flag: {a} (try 'report --help')"));
+                } else {
+                    return Err(format!(
+                        "unexpected argument: {a} (report takes no figure ids; try \
+                         'report --help')"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(ReportCommand::Run(out))
 }
 
 /// Parses the value of an integer flag, requiring it to be present,
@@ -226,5 +285,24 @@ mod tests {
             Err("--window needs a positive integer, got \"eight\"".into())
         );
         assert!(positive::<usize>("--len", Some("-3".into())).is_err());
+    }
+
+    #[test]
+    fn report_command_line_parses_up_front() {
+        let parse = |args: &[&str]| parse_report_args(args.iter().map(|a| a.to_string()));
+        assert_eq!(
+            parse(&["--small", "-h", "--bogus"]),
+            Ok(ReportCommand::Help)
+        );
+        assert_eq!(
+            parse(&["--small", "--jobs=3", "--sequential", "--csv", "out"]),
+            Ok(ReportCommand::Run(ReportArgs {
+                small: true,
+                jobs: Some(1),
+                csv: Some("out".into()),
+            }))
+        );
+        assert!(parse(&["--bogus"]).unwrap_err().contains("unknown flag"));
+        assert!(parse(&["all"]).unwrap_err().contains("unexpected argument"));
     }
 }

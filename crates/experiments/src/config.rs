@@ -114,9 +114,9 @@ impl Config {
     }
 
     /// One representative of every cache organization, all on the
-    /// standard geometry — the widest batch a fused probe pass can feed,
-    /// used by the multi-config replay benchmarks, the CI fused-vs-SoA
-    /// guard and the equivalence property tests.
+    /// standard geometry — the widest batch, used by the `--diff` pass,
+    /// the trace-file benchmark and the equivalence and reconciliation
+    /// tests.
     pub fn all_organizations() -> [(&'static str, Config); 8] {
         let geom = CacheGeometry::standard();
         let mem = MemoryModel::default();

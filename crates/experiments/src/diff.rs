@@ -18,8 +18,8 @@
 //! a hope: [`diff_configs`] reconciles (1) each side's folded outcome
 //! totals against its own engine counters, (2) the mechanism delta sums
 //! against the metrics difference, and (3) the probed lockstep run
-//! against an unprobed twin (which exercises the shared-decode fused
-//! path), and refuses to return a report if any check fails.
+//! against an unprobed twin, and refuses to return a report if any
+//! check fails.
 //!
 //! Cycle counters (`mem_cycles`, `stall_cycles`) are not attributable
 //! per reference — the engines fold hit cycles at chunk granularity — so
@@ -489,7 +489,7 @@ pub fn diff_configs(
     }
 
     // Check 3: the probed lockstep pair replays exactly like an unprobed
-    // twin (which shares one fused decode between the sides).
+    // twin.
     let mut twin_a = config_a.build();
     let mut twin_b = config_b.build();
     run_lockstep(

@@ -437,24 +437,9 @@ pub fn bench_refs_per_sec(json: &str, shape: &str) -> Option<f64> {
     bench_field(json, shape, "\"refs_per_sec\":")
 }
 
-/// Extracts the SoA-vs-scalar `"speedup"` ratio for one replay shape
-/// from a `sac-bench-replay-v2` report. Returns `None` for v1 reports
-/// (the field did not exist yet) or an absent shape.
-pub fn bench_speedup(json: &str, shape: &str) -> Option<f64> {
-    bench_field(json, shape, "\"speedup\":")
-}
-
-/// Extracts the fused-vs-per-engine-SoA `"fused_speedup"` ratio of the
-/// multi-config replay row from a `sac-bench-replay-v3` report. Returns
-/// `None` for older snapshots (the row did not exist yet), so guards can
-/// skip the fused leg instead of failing on a stale baseline.
-pub fn bench_fused_speedup(json: &str) -> Option<f64> {
-    bench_field(json, "hit_heavy_multi", "\"fused_speedup\":")
-}
-
 /// Extracts the store-warm `"warm_speedup"` ratio (cold replay wall over
-/// warm store-lookup wall) from a `sac-bench-replay-v3` report. `None`
-/// for older snapshots.
+/// warm store-lookup wall) from a `sac-bench-replay` report (v3 on).
+/// `None` for older snapshots.
 pub fn bench_store_warm_speedup(json: &str) -> Option<f64> {
     bench_field(json, "store", "\"warm_speedup\":")
 }
@@ -567,28 +552,20 @@ mod tests {
         assert_eq!(bench_refs_per_sec(json, "raw"), Some(1234.0));
         assert_eq!(bench_refs_per_sec(json, "hit_heavy"), Some(5678.5));
         assert_eq!(bench_refs_per_sec(json, "nope"), None);
-        // A v2 snapshot has no fused or store rows: the extractors must
-        // report their absence, not a bogus number.
-        assert_eq!(bench_fused_speedup(json), None);
+        // A v2 snapshot has no store row: the extractor must report its
+        // absence, not a bogus number.
         assert_eq!(bench_store_warm_speedup(json), None);
     }
 
     #[test]
-    fn bench_json_probe_reads_v3_rows() {
+    fn bench_json_probe_reads_the_store_row() {
         let json = r#"{
   "replay": {
-    "hit_heavy": {"engine_refs": 10, "wall_s": 0.5, "refs_per_sec": 5678.5, "speedup": 1.8}
-  },
-  "fused": {
-    "hit_heavy_multi": {"configs": 8, "refs_per_sec": 99000, "soa_refs_per_sec": 66000, "fused_speedup": 1.5}
+    "hit_heavy": {"engine_refs": 10, "wall_s": 0.5, "refs_per_sec": 5678.5}
   },
   "store": {"cells": 3, "cold_wall_s": 0.08, "warm_wall_s": 0.0004, "warm_speedup": 200.0}
 }"#;
-        assert_eq!(bench_speedup(json, "hit_heavy"), Some(1.8));
-        assert_eq!(bench_fused_speedup(json), Some(1.5));
         assert_eq!(bench_store_warm_speedup(json), Some(200.0));
-        // `"hit_heavy"` must not accidentally match the fused row's
-        // `"hit_heavy_multi"` key.
         assert_eq!(bench_refs_per_sec(json, "hit_heavy"), Some(5678.5));
     }
 

@@ -29,7 +29,7 @@
 
 use sac_obs::registry;
 use sac_obs::span::{self, Span, SpanKey, SpanLevel};
-use sac_simcache::{CacheSim, LineRuns, Metrics};
+use sac_simcache::{CacheSim, Metrics};
 use sac_trace::io::{ChunkSource, ReadError};
 use sac_trace::{Access, Trace};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -253,82 +253,6 @@ where
 /// to stay hot in L1/L2 while every engine of the batch consumes it.
 pub const REPLAY_CHUNK: usize = sac_trace::io::DEFAULT_CHUNK;
 
-/// How [`replay_trace`] traverses a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayMode {
-    /// Single pass: all engines of a batch consume each chunk while it is
-    /// hot in cache (the default).
-    Chunked,
-    /// Legacy path: each engine re-traverses the whole materialized trace
-    /// on its own (`--materialized`; kept as the differential-testing
-    /// reference).
-    Materialized,
-}
-
-/// 0 = chunked, 1 = materialized.
-static REPLAY_MODE: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the traversal mode for subsequent [`replay_trace`] calls.
-pub fn set_replay_mode(mode: ReplayMode) {
-    let v = match mode {
-        ReplayMode::Chunked => 0,
-        ReplayMode::Materialized => 1,
-    };
-    REPLAY_MODE.store(v, Ordering::SeqCst);
-}
-
-/// The traversal mode [`replay_trace`] will use.
-pub fn replay_mode() -> ReplayMode {
-    match REPLAY_MODE.load(Ordering::SeqCst) {
-        0 => ReplayMode::Chunked,
-        _ => ReplayMode::Materialized,
-    }
-}
-
-/// How a [`ReplayBatch`] probes the engines' tag arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeMode {
-    /// Fused batch pass (the default): the chunk's address decode and
-    /// same-line run segmentation are computed **once** into a shared
-    /// [`LineRuns`] arena and every engine with a matching line shift
-    /// replays from it — one tag probe per run while streaming hits and
-    /// constant-time folds of fully-hit runs. Engines that cannot use
-    /// the arena (probed, odd line size) fall back to their own SoA
-    /// pass within the same batch.
-    Fused,
-    /// Per-engine structure-of-arrays fast path: packed u64 tag lanes,
-    /// way memoization and same-line hit-run batching, with each engine
-    /// re-deriving the chunk's line runs itself (`--soa`; the fallback
-    /// the fused pass is diffed against).
-    Soa,
-    /// The scalar per-entry probe — the reference implementation both
-    /// fast paths are diffed against (`--scalar`).
-    Scalar,
-}
-
-/// 0 = fused, 1 = SoA, 2 = scalar.
-static PROBE_MODE: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the probe mode for subsequent batch replays (the `--soa` /
-/// `--scalar` flags store [`ProbeMode::Soa`] / [`ProbeMode::Scalar`]).
-pub fn set_probe_mode(mode: ProbeMode) {
-    let v = match mode {
-        ProbeMode::Fused => 0,
-        ProbeMode::Soa => 1,
-        ProbeMode::Scalar => 2,
-    };
-    PROBE_MODE.store(v, Ordering::SeqCst);
-}
-
-/// The probe mode batch replays will use.
-pub fn probe_mode() -> ProbeMode {
-    match PROBE_MODE.load(Ordering::SeqCst) {
-        0 => ProbeMode::Fused,
-        1 => ProbeMode::Soa,
-        _ => ProbeMode::Scalar,
-    }
-}
-
 /// Worker count for intra-cell parallelism: how many threads one
 /// [`ReplayBatch::replay`] may shard its engines across. 0/1 = off.
 static CELL_JOBS: AtomicUsize = AtomicUsize::new(0);
@@ -373,9 +297,6 @@ pub fn cell_jobs() -> usize {
 pub struct ReplayBatch {
     engines: Vec<BatchSlot>,
     span: Option<BatchSpan>,
-    /// The fused pass's shared arenas, one per distinct line shift in
-    /// the batch, recomputed per chunk with reused backing storage.
-    fused_runs: Vec<(u32, LineRuns)>,
 }
 
 struct BatchSlot {
@@ -440,45 +361,15 @@ impl ReplayBatch {
         });
     }
 
-    /// Drives every engine over one decoded chunk (in push order),
-    /// through the fused batch pass, the per-engine SoA fast path or
-    /// the scalar reference path per the global [`ProbeMode`].
+    /// Drives every engine over one decoded chunk (in push order).
     pub fn feed(&mut self, chunk: &[Access]) {
         let chunk_span_start = match &self.span {
             Some(_) if chunk_spans() => Some(span::now_us()),
             _ => None,
         };
-        let mode = probe_mode();
-        if mode == ProbeMode::Fused {
-            // One shared decode per chunk per distinct line shift: the
-            // arena is computed once and every matching engine strides
-            // over it, instead of each engine re-deriving the same line
-            // numbers and run boundaries.
-            for slot in &self.engines {
-                if let Some(shift) = slot.engine.fused_shift() {
-                    if !self.fused_runs.iter().any(|(s, _)| *s == shift) {
-                        self.fused_runs.push((shift, LineRuns::new()));
-                    }
-                }
-            }
-            for (shift, runs) in &mut self.fused_runs {
-                runs.compute_into(chunk, *shift);
-            }
-        }
         for slot in &mut self.engines {
             let start = Instant::now();
-            match mode {
-                ProbeMode::Fused => match slot
-                    .engine
-                    .fused_shift()
-                    .and_then(|shift| self.fused_runs.iter().find(|(s, _)| *s == shift))
-                {
-                    Some((_, runs)) => slot.engine.run_chunk_fused(chunk, runs),
-                    None => slot.engine.run_chunk_soa(chunk),
-                },
-                ProbeMode::Soa => slot.engine.run_chunk_soa(chunk),
-                ProbeMode::Scalar => slot.engine.run_chunk(chunk),
-            }
+            slot.engine.run_chunk(chunk);
             slot.wall += start.elapsed();
             slot.chunks += 1;
         }
@@ -563,8 +454,8 @@ impl ReplayBatch {
 
     /// The intra-cell parallel path of [`ReplayBatch::replay`]: splits
     /// the engines into `workers` contiguous groups, replays each group
-    /// over the full chunk sequence on its own scoped thread (each
-    /// group computes its own fused arenas), then records cells and
+    /// over the full chunk sequence on its own scoped thread, then
+    /// records cells and
     /// collects metrics **in engine push order** on the calling thread,
     /// so the ledger and the returned vector are deterministic.
     fn replay_sharded(self, trace: &Trace, workers: usize) -> Vec<Metrics> {
@@ -576,7 +467,6 @@ impl ReplayBatch {
             groups.push(ReplayBatch {
                 engines: rest,
                 span: None,
-                fused_runs: Vec::new(),
             });
             rest = tail;
         }
@@ -623,24 +513,14 @@ impl ReplayBatch {
     }
 }
 
-/// Runs a labeled configuration sweep over one trace under the ledger,
-/// honoring the global [`ReplayMode`]: a single chunked pass by default,
-/// or one full traversal per configuration in materialized mode. Both
-/// modes return identical metrics (and record the same cells).
+/// Runs a labeled configuration sweep over one trace under the ledger:
+/// one [`ReplayBatch`] pass, every engine consuming each chunk in turn.
 pub fn replay_trace(cells: &[(String, Config)], trace: &Trace) -> Vec<Metrics> {
-    match replay_mode() {
-        ReplayMode::Chunked => {
-            let mut batch = ReplayBatch::new();
-            for (label, config) in cells {
-                batch.push(label.clone(), config);
-            }
-            batch.replay(trace)
-        }
-        ReplayMode::Materialized => cells
-            .iter()
-            .map(|(label, config)| run_cell(label.clone(), config, trace))
-            .collect(),
+    let mut batch = ReplayBatch::new();
+    for (label, config) in cells {
+        batch.push(label.clone(), config);
     }
+    batch.replay(trace)
 }
 
 /// One finished sweep cell, as recorded in the observability ledger.
@@ -1011,7 +891,7 @@ mod tests {
         }
     }
 
-    /// Both [`ReplayMode`]s produce identical metrics for the same sweep.
+    /// The batched sweep equals per-cell [`Config::run`].
     #[test]
     fn replay_modes_agree() {
         let trace = seeded_trace(99, 4_000);
@@ -1020,13 +900,8 @@ mod tests {
             ("mode/victim".to_string(), Config::standard_victim()),
             ("mode/soft".to_string(), Config::soft()),
         ];
-        // The mode is process-global; restore it even on panic-free paths.
-        set_replay_mode(ReplayMode::Chunked);
-        let chunked = replay_trace(&cells, &trace);
-        set_replay_mode(ReplayMode::Materialized);
-        let materialized = replay_trace(&cells, &trace);
-        set_replay_mode(ReplayMode::Chunked);
-        assert_eq!(chunked, materialized);
+        let per_cell: Vec<Metrics> = cells.iter().map(|(_, c)| c.run(&trace)).collect();
+        assert_eq!(replay_trace(&cells, &trace), per_cell);
     }
 
     /// Streaming SACT replay (never materializing the trace) equals

@@ -80,6 +80,42 @@ fn report_emits_markdown_and_csv() {
 }
 
 #[test]
+fn report_rejects_bad_arguments_before_any_work() {
+    for (args, needle) in [
+        (&["--small", "--bogus"][..], "unknown flag: --bogus"),
+        (&["--small", "fig06a"], "unexpected argument: fig06a"),
+        (&["--jobs", "0"], "--jobs needs a positive integer"),
+        (&["--csv"], "--csv needs a value"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_report"))
+            .args(args)
+            .output()
+            .expect("run report");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: tables printed");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(needle), "{args:?}: {err}");
+        assert!(
+            !err.contains("generating"),
+            "{args:?}: suite built before the check: {err}"
+        );
+    }
+}
+
+#[test]
+fn report_help_prints_usage_without_work() {
+    for flag in ["--help", "-h"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_report"))
+            .args(["--small", flag, "--bogus"])
+            .output()
+            .expect("run report");
+        assert!(out.status.success(), "{flag}");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE:"));
+        assert!(out.stderr.is_empty(), "{flag} did work: {:?}", out.stderr);
+    }
+}
+
+#[test]
 fn explain_renders_a_breakdown_and_writes_jsonl() {
     let path = std::env::temp_dir().join(format!("sac-obs-{}.jsonl", std::process::id()));
     let out = Command::new(env!("CARGO_BIN_EXE_explain"))

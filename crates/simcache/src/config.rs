@@ -97,19 +97,6 @@ impl CacheGeometry {
         self.size_bytes / self.line_bytes
     }
 
-    /// The power-of-two line shift, when `line_bytes` is a power of two
-    /// (`line_of` is then `addr >> shift`); `None` for odd line sizes
-    /// that need the generic divide. The fused replay pass groups
-    /// engines by this value so one address decode serves all of them.
-    #[inline]
-    pub fn line_shift(&self) -> Option<u32> {
-        if self.line_shift != u32::MAX {
-            Some(self.line_shift)
-        } else {
-            None
-        }
-    }
-
     /// The line number holding a byte address.
     #[inline]
     pub fn line_of(&self, addr: u64) -> u64 {

@@ -1,6 +1,5 @@
 //! The engine trait shared by every cache organization.
 
-use crate::fused::LineRuns;
 use crate::Metrics;
 use sac_trace::{Access, Trace};
 
@@ -47,42 +46,6 @@ pub trait CacheSim {
         for a in chunk {
             self.access(a);
         }
-    }
-
-    /// The raw-speed twin of [`CacheSim::run_chunk`]: same counters,
-    /// probing the main array as structure-of-arrays where the engine
-    /// supports it (packed u64 tag lanes, way memoization, same-line
-    /// hit-run batching). The scalar [`CacheSim::run_chunk`] is the
-    /// reference implementation; this default falls back to it, and the
-    /// replay harness diffs the two byte-for-byte.
-    fn run_chunk_soa(&mut self, chunk: &[Access]) {
-        self.run_chunk(chunk);
-    }
-
-    /// The fused-batch twin of [`CacheSim::run_chunk_soa`]: replays the
-    /// chunk against a pre-decoded [`LineRuns`] arena that the batch
-    /// computed **once** and shares across every engine with the same
-    /// line shift — one address decode and run segmentation per chunk
-    /// instead of one per engine, one tag probe per same-line run while
-    /// streaming hits, and constant-time folds of fully-hit runs from
-    /// the arena's precomputed summaries. Counters must be byte-identical
-    /// to both [`CacheSim::run_chunk`] and [`CacheSim::run_chunk_soa`].
-    ///
-    /// The default ignores the arena and falls back to the per-engine
-    /// SoA path, which is always correct; engines advertise a usable
-    /// arena via [`CacheSim::fused_shift`] and must themselves fall back
-    /// when handed runs decoded under a different shift.
-    fn run_chunk_fused(&mut self, chunk: &[Access], runs: &LineRuns) {
-        let _ = runs;
-        self.run_chunk_soa(chunk);
-    }
-
-    /// The power-of-two line shift this engine wants chunk runs decoded
-    /// under, or `None` if the engine cannot use the fused pass (odd
-    /// line size, attached probe, or no override). The batch groups
-    /// engines by this value so each distinct shift is decoded once.
-    fn fused_shift(&self) -> Option<u32> {
-        None
     }
 
     /// Drives an entire trace through the simulator.

@@ -54,7 +54,6 @@ mod coherent;
 mod colassoc;
 mod config;
 mod engine;
-mod fused;
 mod lockstep;
 mod memsys;
 mod metrics;
@@ -74,7 +73,6 @@ pub use coherent::{CoherenceStats, CoherentSystem, CpuCoherence};
 pub use colassoc::{ColAssocPolicy, ColumnAssociativeCache};
 pub use config::{CacheGeometry, MemoryModel};
 pub use engine::CacheSim;
-pub use fused::{LineRun, LineRuns};
 pub use lockstep::run_lockstep;
 pub use memsys::{CacheEngine, CachePolicy, MemorySystem};
 pub use metrics::{ChunkDelta, Metrics};

@@ -5,15 +5,10 @@
 //! compared, so the driver advances the two engines in strict
 //! alternation: decode-once, replay chunk through A, replay chunk
 //! through B, hand both sides' cumulative [`Metrics`] to the caller,
-//! repeat. When both engines advertise the same fused line shift
-//! ([`CacheSim::fused_shift`]) the chunk is decoded into a shared
-//! [`LineRuns`] arena once and both take the fused path — the same
-//! decode-sharing the experiments crate's multi-config replay uses;
-//! otherwise both fall back to their scalar chunk path (probed engines
-//! report no fused shift). Either way the counters are byte-identical to
-//! solo replay, which the diff layer's reconciliation re-checks.
+//! repeat. Both sides replay through their ordinary
+//! [`CacheSim::run_chunk`], so the counters are byte-identical to solo
+//! replay, which the diff layer's reconciliation re-checks.
 
-use crate::fused::LineRuns;
 use crate::{CacheSim, Metrics};
 use sac_trace::Access;
 
@@ -32,23 +27,9 @@ pub fn run_lockstep(
     mut after_chunk: impl FnMut(&Metrics, &Metrics),
 ) {
     assert!(chunk > 0, "lockstep chunk must be positive");
-    let shared_shift = match (a.fused_shift(), b.fused_shift()) {
-        (Some(sa), Some(sb)) if sa == sb => Some(sa),
-        _ => None,
-    };
-    let mut runs = LineRuns::new();
     for ch in trace.chunks(chunk) {
-        match shared_shift {
-            Some(shift) => {
-                runs.compute_into(ch, shift);
-                a.run_chunk_fused(ch, &runs);
-                b.run_chunk_fused(ch, &runs);
-            }
-            None => {
-                a.run_chunk(ch);
-                b.run_chunk(ch);
-            }
-        }
+        a.run_chunk(ch);
+        b.run_chunk(ch);
         after_chunk(a.metrics(), b.metrics());
     }
 }
@@ -84,26 +65,6 @@ mod tests {
             assert!(ma.refs == mb.refs, "sides advance together");
         });
         assert_eq!(folds, 10_000usize.div_ceil(333));
-        assert_eq!(a.metrics(), solo_a.metrics());
-        assert_eq!(b.metrics(), solo_b.metrics());
-    }
-
-    #[test]
-    fn mismatched_shifts_fall_back_to_scalar() {
-        let geom = CacheGeometry::standard();
-        let wide = CacheGeometry::new(8192, 64, 1);
-        let mem = MemoryModel::default();
-        let t = trace(3_000);
-
-        let mut solo_a = StandardCache::new(geom, mem);
-        solo_a.run(&t);
-        let mut solo_b = StandardCache::new(wide, mem);
-        solo_b.run(&t);
-
-        let mut a = StandardCache::new(geom, mem);
-        let mut b = StandardCache::new(wide, mem);
-        assert_ne!(a.fused_shift(), b.fused_shift());
-        run_lockstep(&mut a, &mut b, t.as_slice(), 256, |_, _| {});
         assert_eq!(a.metrics(), solo_a.metrics());
         assert_eq!(b.metrics(), solo_b.metrics());
     }

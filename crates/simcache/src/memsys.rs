@@ -16,7 +16,6 @@
 //! boundary checks are written a single time instead of per engine.
 
 use crate::clock::Clock;
-use crate::fused::LineRuns;
 use crate::{
     CacheGeometry, CacheSim, ChunkDelta, MemoryModel, Metrics, SnoopBus, WriteBuffer,
     MAIN_HIT_CYCLES,
@@ -197,46 +196,9 @@ pub trait CachePolicy<P: Probe> {
     /// hit.
     fn probe_main(&mut self, line: u64) -> Option<usize>;
 
-    /// The SoA fast-path twin of [`CachePolicy::probe_main`]: policies
-    /// whose main probe is a plain [`crate::TagArray::probe`] route it
-    /// through [`crate::TagArray::probe_soa`] (packed tag lanes + way
-    /// memo) instead. Must give the same hit/miss answer and leave the
-    /// array in a state with identical future victim choices. Defaults
-    /// to the scalar probe.
-    #[inline]
-    fn probe_main_soa(&mut self, line: u64) -> Option<usize> {
-        self.probe_main(line)
-    }
-
-    /// Whether [`CachePolicy::before_access`] is *currently* a no-op.
-    /// The SoA replay path batches runs of same-line hits only while
-    /// this holds, because batching elides the per-access hook. The
-    /// conservative default (`false`) disables batching; policies whose
-    /// hook never does anything return `true`, and policies with a
-    /// conditional hook (in-flight prefetch delivery) return whether it
-    /// would fire now.
-    #[inline]
-    fn before_access_inert(&self) -> bool {
-        false
-    }
-
     /// Finishes a main-array hit: hint-bit updates on the hit entry
     /// (dirty on a store, temporal tag notes, …).
     fn touch_hit(&mut self, idx: usize, a: &Access);
-
-    /// Folds the [`CachePolicy::touch_hit`] updates of a whole run of
-    /// same-line hits on the entry at `idx`. `any_write` and
-    /// `any_temporal` summarize the run's flag bits. The default replays
-    /// `touch_hit` per access, which is always exact; policies whose
-    /// `touch_hit` is an OR-monotone function of the write/temporal bits
-    /// (all of the study's are) override with a constant-time fold.
-    #[inline]
-    fn touch_hit_run(&mut self, idx: usize, run: &[Access], any_write: bool, any_temporal: bool) {
-        let _ = (any_write, any_temporal);
-        for a in run {
-            self.touch_hit(idx, a);
-        }
-    }
 
     /// Everything past a main-array miss — auxiliary hit, bypass or a
     /// full miss. `stall` is the already-recorded arrival stall. Returns
@@ -316,101 +278,6 @@ impl<Pol: CachePolicy<P>, P: Probe> CacheEngine<Pol, P> {
     pub fn geometry(&self) -> CacheGeometry {
         self.policy.geometry()
     }
-
-    /// The full miss arm, deliberately `inline(never)`: keeping the miss
-    /// machinery out of `run_chunk_soa`'s loop body keeps the hit fast
-    /// path small enough to stay in registers (policies with small miss
-    /// bodies otherwise get them inlined into the loop, which measurably
-    /// slows the hit path *and* the miss path).
-    /// Streaming hit mode of the SoA replay path: starting right after a
-    /// completed, inert hit on `line`/`idx`, consumes accesses for as
-    /// long as every probe hits, folding the per-access bookkeeping.
-    /// Returns how many accesses of `rest` were consumed.
-    ///
-    /// *Clock*: after a completed hit, `now` sits at or past any lock,
-    /// and hits never lock, so every streamed access has stall 0 by
-    /// construction; the issue gaps fold into one `complete` at the end.
-    /// *Hooks*: `before_access` stays inert for the whole stream (only
-    /// misses and the hook itself can change that, and neither runs
-    /// here); `touch_hit` folds per same-line sub-run through
-    /// [`CachePolicy::touch_hit_run`].
-    /// *Probes*: one probe per line change; a probe that misses ends the
-    /// stream *before* its access, which the caller then reprocesses in
-    /// full (the extra probe is behaviorally invisible — a failed probe
-    /// mutates nothing but the LRU clock, and a uniform clock skip
-    /// reorders no stamps).
-    ///
-    /// Outlined (like [`CacheEngine::miss_access`]) so the dispatch loop
-    /// in `run_chunk_soa` stays small.
-    #[inline(never)]
-    fn stream_hits(
-        &mut self,
-        rest: &[Access],
-        line: u64,
-        idx: usize,
-        delta: &mut ChunkDelta,
-    ) -> usize {
-        let geom = self.policy.geometry();
-        let mut cur_line = line;
-        let mut cur_idx = idx;
-        let mut run_start = 0usize;
-        let mut hits: u32 = 0;
-        let mut writes: u32 = 0;
-        let mut gaps: u64 = 0;
-        let mut line_write = false;
-        let mut line_temporal = false;
-        let mut consumed = 0usize;
-        for (k, b) in rest.iter().enumerate() {
-            let bl = geom.line_of(b.addr());
-            if bl != cur_line {
-                let Some(bidx) = self.policy.probe_main_soa(bl) else {
-                    break;
-                };
-                self.policy
-                    .touch_hit_run(cur_idx, &rest[run_start..k], line_write, line_temporal);
-                cur_line = bl;
-                cur_idx = bidx;
-                run_start = k;
-                line_write = false;
-                line_temporal = false;
-            }
-            let w = b.kind().is_write();
-            if P::ENABLED {
-                self.probe.on_ref(b.addr(), bl, w);
-            }
-            hits += 1;
-            writes += u32::from(w);
-            gaps += b.gap() as u64;
-            line_write |= w;
-            line_temporal |= b.temporal();
-            consumed = k + 1;
-        }
-        if hits > 0 {
-            self.policy.touch_hit_run(
-                cur_idx,
-                &rest[run_start..consumed],
-                line_write,
-                line_temporal,
-            );
-            let cycles = u64::from(hits) * MAIN_HIT_CYCLES;
-            delta.record_hit_run(hits, writes, cycles);
-            self.sys.complete(gaps + cycles);
-        }
-        consumed
-    }
-
-    #[inline(never)]
-    fn miss_access(&mut self, a: &Access, line: u64, stall: u64) {
-        self.sys.metrics_mut().record_ref(a.kind().is_write());
-        self.sys.metrics_mut().stall_cycles += stall;
-        let (cost, lock) = self
-            .policy
-            .miss(&mut self.sys, &mut self.probe, line, stall, a);
-        self.sys.charge(cost);
-        if lock > 0 {
-            self.sys.lock_for(lock);
-        }
-    }
 }
 
 impl<Pol: CachePolicy<P>, P: Probe> CacheSim for CacheEngine<Pol, P> {
@@ -447,12 +314,13 @@ impl<Pol: CachePolicy<P>, P: Probe> CacheSim for CacheEngine<Pol, P> {
         // instead of the full metrics block; the miss machinery only
         // runs on actual misses. All counters are additive, so folding
         // the delta at the chunk boundary yields exactly the per-access
-        // counters.
+        // counters. The geometry never changes, so it is read once.
+        let geom = self.policy.geometry();
         let mut delta = ChunkDelta::new();
         for a in chunk {
             let stall = self.sys.arrive(a.gap());
             self.policy.before_access(&mut self.sys, &mut self.probe);
-            let line = self.policy.geometry().line_of(a.addr());
+            let line = geom.line_of(a.addr());
             if P::ENABLED {
                 self.probe.on_ref(a.addr(), line, a.kind().is_write());
             }
@@ -480,169 +348,6 @@ impl<Pol: CachePolicy<P>, P: Probe> CacheSim for CacheEngine<Pol, P> {
             self.probe.on_chunk(m.refs, m.mem_cycles);
         }
         self.sys.metrics().debug_check_invariants();
-    }
-
-    fn run_chunk_soa(&mut self, chunk: &[Access]) {
-        // The SoA replay path. Three speed levers over the scalar
-        // `run_chunk`, none of which may change a single counter:
-        //
-        // 1. the main probe goes through the policy's SoA twin
-        //    (packed tag lanes + way memo, see `TagArray::probe_soa`);
-        // 2. the geometry is hoisted out of the loop;
-        // 3. a *hit run* — consecutive accesses to the very line that
-        //    just hit, while `before_access` is provably inert — is
-        //    folded without re-probing: after a completed access the
-        //    clock sits at or past any lock, so every access in the run
-        //    is a stall-free 1-cycle hit by construction, and skipping
-        //    the LRU restamp is safe for the same reason the way memo's
-        //    skip is (the line already holds the maximal stamp).
-        let geom = self.policy.geometry();
-        let mut delta = ChunkDelta::new();
-        let mut rest = chunk;
-        while let Some((a, tail)) = rest.split_first() {
-            rest = tail;
-            let stall = self.sys.arrive(a.gap());
-            self.policy.before_access(&mut self.sys, &mut self.probe);
-            let line = geom.line_of(a.addr());
-            if P::ENABLED {
-                self.probe.on_ref(a.addr(), line, a.kind().is_write());
-            }
-            let Some(idx) = self.policy.probe_main_soa(line) else {
-                self.miss_access(a, line, stall);
-                continue;
-            };
-            let is_write = a.kind().is_write();
-            self.policy.touch_hit(idx, a);
-            let cost = stall + MAIN_HIT_CYCLES;
-            delta.record_hit(is_write, cost, stall);
-            self.sys.complete(cost);
-            if !self.policy.before_access_inert() {
-                continue;
-            }
-            let consumed = self.stream_hits(rest, line, idx, &mut delta);
-            rest = &rest[consumed..];
-        }
-        self.sys.metrics_mut().apply_chunk(&delta);
-        if P::ENABLED {
-            let m = self.sys.metrics();
-            self.probe.on_chunk(m.refs, m.mem_cycles);
-        }
-        self.sys.metrics().debug_check_invariants();
-    }
-
-    fn run_chunk_fused(&mut self, chunk: &[Access], runs: &LineRuns) {
-        // The fused-batch replay path: the chunk arrives pre-decoded
-        // into same-line runs (one shared [`LineRuns`] arena per chunk
-        // per line shift, computed once for the whole batch). Relative
-        // to `run_chunk_soa` this removes the per-engine address decode
-        // and replaces per-reference work in streaming mode with one
-        // probe + one constant-time fold per *run*, consuming the
-        // arena's precomputed write/temporal/gap summaries. The
-        // accounting below mirrors `run_chunk_soa` + `stream_hits`
-        // operation for operation; every delta/clock update is additive
-        // and commutative, so the counters are byte-identical (CI and
-        // the property tests diff all three paths).
-        if P::ENABLED || self.policy.geometry().line_shift() != Some(runs.shift()) {
-            // Probed engines need per-reference `on_ref` events, and an
-            // arena decoded under a different shift is useless here:
-            // both fall back to the always-correct per-engine path.
-            self.run_chunk_soa(chunk);
-            return;
-        }
-        let mut delta = ChunkDelta::new();
-        let runs = runs.runs();
-        let mut r = 0usize;
-        while r < runs.len() {
-            let run = &runs[r];
-            let end = run.start + run.len;
-            // Per-access mode, as in `run_chunk_soa`'s main loop — only
-            // the line number comes from the arena instead of being
-            // re-derived per reference.
-            let mut i = run.start;
-            let mut head = (0u32, 0u32, 0u64); // writes, temporals, gaps
-            let mut stream_from: Option<usize> = None;
-            while i < end {
-                let a = &chunk[i];
-                let is_write = a.kind().is_write();
-                head.0 += u32::from(is_write);
-                head.1 += u32::from(a.temporal());
-                head.2 += a.gap() as u64;
-                let stall = self.sys.arrive(a.gap());
-                self.policy.before_access(&mut self.sys, &mut self.probe);
-                i += 1;
-                let Some(idx) = self.policy.probe_main_soa(run.line) else {
-                    self.miss_access(a, run.line, stall);
-                    continue;
-                };
-                self.policy.touch_hit(idx, a);
-                let cost = stall + MAIN_HIT_CYCLES;
-                delta.record_hit(is_write, cost, stall);
-                self.sys.complete(cost);
-                if self.policy.before_access_inert() {
-                    stream_from = Some(idx);
-                    break;
-                }
-            }
-            r += 1;
-            let Some(idx) = stream_from else {
-                continue;
-            };
-            // Streaming mode, as in `stream_hits`: after a completed,
-            // inert hit every subsequent hit is a stall-free 1-cycle
-            // access by construction, so the rest of this run — all on
-            // the line that just hit — folds in constant time from the
-            // arena's summaries (tail = run totals minus the per-access
-            // head already replayed above). Like `stream_hits`, the
-            // whole stream accumulates into locals and flushes with one
-            // `record_hit_run` + one `complete` when it ends.
-            let mut hits: u32 = 0;
-            let mut writes: u32 = 0;
-            let mut gaps: u64 = 0;
-            if i < end {
-                let tail = &chunk[i..end];
-                let tw = run.writes - head.0;
-                self.policy
-                    .touch_hit_run(idx, tail, tw > 0, run.temporals > head.1);
-                hits += tail.len() as u32;
-                writes += tw;
-                gaps += run.gaps - head.2;
-            }
-            // Whole subsequent runs stream with a single probe and a
-            // single fold each; the first probe that misses ends the
-            // stream *before* its run, which the outer loop then
-            // reprocesses per-access (the extra failed probe only bumps
-            // the LRU clock, exactly as in `stream_hits`).
-            while r < runs.len() {
-                let nrun = &runs[r];
-                let Some(nidx) = self.policy.probe_main_soa(nrun.line) else {
-                    break;
-                };
-                self.policy.touch_hit_run(
-                    nidx,
-                    &chunk[nrun.start..nrun.start + nrun.len],
-                    nrun.writes > 0,
-                    nrun.temporals > 0,
-                );
-                hits += nrun.len as u32;
-                writes += nrun.writes;
-                gaps += nrun.gaps;
-                r += 1;
-            }
-            if hits > 0 {
-                let cycles = u64::from(hits) * MAIN_HIT_CYCLES;
-                delta.record_hit_run(hits, writes, cycles);
-                self.sys.complete(gaps + cycles);
-            }
-        }
-        self.sys.metrics_mut().apply_chunk(&delta);
-        self.sys.metrics().debug_check_invariants();
-    }
-
-    fn fused_shift(&self) -> Option<u32> {
-        if P::ENABLED {
-            return None;
-        }
-        self.policy.geometry().line_shift()
     }
 
     fn invalidate_all(&mut self) {

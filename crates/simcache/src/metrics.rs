@@ -89,18 +89,6 @@ impl ChunkDelta {
         self.stall_cycles += stall;
     }
 
-    /// Records a run of `hits` stall-free main-cache hits (`writes` of
-    /// them stores) costing `cycles` in total — the SoA replay path folds
-    /// a whole same-line hit run in one call. Exactly equivalent to
-    /// `hits` calls of [`ChunkDelta::record_hit`] with zero stall.
-    #[inline]
-    pub fn record_hit_run(&mut self, hits: u32, writes: u32, cycles: u64) {
-        self.refs += hits;
-        self.writes += writes;
-        self.main_hits += hits;
-        self.mem_cycles += cycles;
-    }
-
     /// True if nothing has been recorded since the last reset.
     #[inline]
     pub fn is_empty(&self) -> bool {

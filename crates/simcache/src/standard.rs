@@ -35,25 +35,8 @@ impl<P: Probe> CachePolicy<P> for StandardPolicy {
     }
 
     #[inline]
-    fn probe_main_soa(&mut self, line: u64) -> Option<usize> {
-        self.tags.probe_soa(line)
-    }
-
-    #[inline]
-    fn before_access_inert(&self) -> bool {
-        true
-    }
-
-    #[inline]
     fn touch_hit(&mut self, idx: usize, a: &Access) {
         if a.kind().is_write() {
-            self.tags.entry_at_mut(idx).dirty = true;
-        }
-    }
-
-    #[inline]
-    fn touch_hit_run(&mut self, idx: usize, _run: &[Access], any_write: bool, _any_temporal: bool) {
-        if any_write {
             self.tags.entry_at_mut(idx).dirty = true;
         }
     }

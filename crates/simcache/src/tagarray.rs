@@ -42,14 +42,6 @@ impl Default for Entry {
 
 /// The tag store of one cache: `sets × ways` entries with LRU tracking.
 ///
-/// Besides the array-of-structs [`Entry`] store, the array keeps a
-/// structure-of-arrays mirror of just the tag words — one packed `u64`
-/// per way, `(line << 1) | valid`, laid out contiguously per set — so
-/// the replay hot path ([`TagArray::probe_soa`]) scans 8-byte tag lanes
-/// instead of 24-byte entries, and a one-entry *way memo* short-circuits
-/// consecutive probes of the same line entirely (way memoization à la
-/// Ishihara & Fallah, here in software).
-///
 /// ```
 /// use sac_simcache::{CacheGeometry, TagArray};
 ///
@@ -64,27 +56,6 @@ pub struct TagArray {
     geom: CacheGeometry,
     entries: Vec<Entry>,
     clock: u64,
-    /// SoA mirror of the tag words: `tags[i] = (entries[i].line << 1) |
-    /// entries[i].valid`. Maintained by every fill/install/invalidate.
-    tags: Vec<u64>,
-    /// Way memo: the line of the last [`TagArray::probe_soa`] hit and the
-    /// global index it resolved to (`usize::MAX` = no memo). Cleared by
-    /// every mutation of the array.
-    memo_line: u64,
-    memo_idx: usize,
-    /// Set when a line with bit 63 set is installed: the packed tag word
-    /// drops that bit, so the SoA probe falls back to the scalar scan for
-    /// the whole array. Real traces never get here (a 2^63 line number
-    /// needs a ≥ 2^63 byte address); the flag just keeps pathological
-    /// inputs exactly equivalent.
-    huge_lines: bool,
-}
-
-/// Packed SoA tag word: the line number with the valid bit in bit 0.
-/// An invalid entry packs to 0, which no valid line can equal.
-#[inline]
-const fn pack_tag(line: u64, valid: bool) -> u64 {
-    (line << 1) | valid as u64
 }
 
 impl TagArray {
@@ -94,10 +65,6 @@ impl TagArray {
             geom,
             entries: vec![Entry::INVALID; geom.lines() as usize],
             clock: 0,
-            tags: vec![pack_tag(0, false); geom.lines() as usize],
-            memo_line: 0,
-            memo_idx: usize::MAX,
-            huge_lines: false,
         }
     }
 
@@ -117,9 +84,6 @@ impl TagArray {
     /// index.
     #[inline]
     pub fn probe(&mut self, line: u64) -> Option<usize> {
-        // The way memo only models *consecutive* `probe_soa` calls; any
-        // scalar probe in between issues a fresh stamp, so drop it.
-        self.memo_idx = usize::MAX;
         let range = self.set_range(line);
         self.clock += 1;
         let clock = self.clock;
@@ -131,122 +95,6 @@ impl TagArray {
             }
         }
         None
-    }
-
-    /// Replay-hot-path lookup over the SoA tag mirror; behaviorally
-    /// equivalent to [`TagArray::probe`] — same hit/miss answer, same
-    /// victim choices ever after — but faster on the two patterns that
-    /// dominate real traces.
-    ///
-    /// *Way memo*: a probe of the same line as the previous (hit) probe
-    /// returns the memoized index without scanning, without bumping the
-    /// LRU clock and without restamping. Skipping the stamp is safe
-    /// because the memo only survives until the next array mutation: in
-    /// between, the memoized entry already carries the maximal stamp and
-    /// no other stamps are issued, so the *relative* LRU order — all any
-    /// victim choice looks at — is exactly what back-to-back scalar
-    /// probes would leave.
-    ///
-    /// *Lane compare*: on a memo miss the probe scans the packed 8-byte
-    /// tag words of the set — contiguous u64 lanes compared against
-    /// `(line << 1) | 1`, hand-unrolled for the 1/2/4-way geometries the
-    /// study uses — instead of the 24-byte [`Entry`] structs.
-    #[inline]
-    pub fn probe_soa(&mut self, line: u64) -> Option<usize> {
-        if self.memo_idx != usize::MAX && self.memo_line == line {
-            return Some(self.memo_idx);
-        }
-        if self.huge_lines {
-            // Bit 63 of some installed line was lost in packing; the
-            // scalar scan is the only exact answer.
-            return self.probe(line);
-        }
-        if self.geom.ways() == 1 {
-            // Direct-mapped: one lane per set, and nothing ever reads
-            // the LRU stamp of a 1-way set (victim selection has no
-            // choice to make), so the probe collapses to a bare
-            // load-and-compare — no clock bump, no entry restamp.
-            let idx = self.geom.set_of_line(line) as usize;
-            return if self.tags[idx] == pack_tag(line, true) {
-                self.memo_line = line;
-                self.memo_idx = idx;
-                Some(idx)
-            } else {
-                None
-            };
-        }
-        let range = self.set_range(line);
-        self.clock += 1;
-        let want = pack_tag(line, true);
-        let base = range.start;
-        let lanes = &self.tags[range];
-        // Hand-unrolled u64 lane compares per associativity.
-        let way = match *lanes {
-            [t0] => {
-                if t0 == want {
-                    0
-                } else {
-                    usize::MAX
-                }
-            }
-            [t0, t1] => {
-                if t0 == want {
-                    0
-                } else if t1 == want {
-                    1
-                } else {
-                    usize::MAX
-                }
-            }
-            [t0, t1, t2, t3] => {
-                if t0 == want {
-                    0
-                } else if t1 == want {
-                    1
-                } else if t2 == want {
-                    2
-                } else if t3 == want {
-                    3
-                } else {
-                    usize::MAX
-                }
-            }
-            ref ts => ts.iter().position(|&t| t == want).unwrap_or(usize::MAX),
-        };
-        if way == usize::MAX {
-            return None;
-        }
-        let idx = base + way;
-        self.entries[idx].lru = self.clock;
-        self.memo_line = line;
-        self.memo_idx = idx;
-        Some(idx)
-    }
-
-    /// Drops the way memo; called by every mutation so a memoized index
-    /// can never outlive the entry it points at.
-    #[inline]
-    fn clear_memo(&mut self) {
-        self.memo_idx = usize::MAX;
-    }
-
-    /// Rewrites the SoA mirror word for `idx` from its entry.
-    #[inline]
-    fn sync_tag(&mut self, idx: usize) {
-        let e = &self.entries[idx];
-        self.tags[idx] = pack_tag(e.line, e.valid);
-        if e.valid && e.line >> 63 != 0 {
-            self.huge_lines = true;
-        }
-    }
-
-    /// Checks that the SoA mirror matches the entry store exactly
-    /// (test/debug helper).
-    #[cfg(test)]
-    fn assert_mirror_consistent(&self) {
-        for (i, e) in self.entries.iter().enumerate() {
-            assert_eq!(self.tags[i], pack_tag(e.line, e.valid), "mirror at {i}");
-        }
     }
 
     /// Looks up a line without touching LRU (coherence checks).
@@ -309,9 +157,8 @@ impl TagArray {
 
     /// Mutable access by global index (as returned by [`TagArray::probe`]).
     ///
-    /// For the hint bits only: callers must not change `line` or `valid`
-    /// through this handle — the SoA tag mirror and the way memo are keyed
-    /// on them. Identity changes go through fill/install/take/invalidate.
+    /// For the hint bits only: identity changes (`line`, `valid`) go
+    /// through fill/install/take/invalidate.
     #[inline]
     pub fn entry_at_mut(&mut self, index: usize) -> &mut Entry {
         &mut self.entries[index]
@@ -329,8 +176,7 @@ impl TagArray {
     pub fn fill(&mut self, line: u64, way: usize, _addr: u64, dirty: bool) -> Entry {
         self.clock += 1;
         let idx = self.set_range(line).start + way;
-        let old = self.entries[idx];
-        self.entries[idx] = Entry {
+        let entry = Entry {
             line,
             valid: true,
             dirty,
@@ -338,9 +184,7 @@ impl TagArray {
             prefetched: false,
             lru: self.clock,
         };
-        self.clear_memo();
-        self.sync_tag(idx);
-        old
+        std::mem::replace(&mut self.entries[idx], entry)
     }
 
     /// Installs a fully-specified entry (used by swaps and bounce-backs),
@@ -351,10 +195,7 @@ impl TagArray {
         entry.valid = true;
         entry.lru = self.clock;
         let idx = self.set_range(line).start + way;
-        let old = std::mem::replace(&mut self.entries[idx], entry);
-        self.clear_memo();
-        self.sync_tag(idx);
-        old
+        std::mem::replace(&mut self.entries[idx], entry)
     }
 
     /// Looks for `tag_line` in the set that `slot_line` maps to, without
@@ -370,10 +211,7 @@ impl TagArray {
     pub fn take_as(&mut self, slot_line: u64, tag_line: u64) -> Option<(usize, Entry)> {
         let idx = self.peek_as(slot_line, tag_line)?;
         let way = idx - self.set_range(slot_line).start;
-        let old = std::mem::replace(&mut self.entries[idx], Entry::INVALID);
-        self.clear_memo();
-        self.sync_tag(idx);
-        Some((way, old))
+        Some((way, std::mem::take(&mut self.entries[idx])))
     }
 
     /// Installs an entry tagged `tag_line` into the set `slot_line` maps
@@ -390,10 +228,7 @@ impl TagArray {
         entry.valid = true;
         entry.lru = self.clock;
         let idx = self.set_range(slot_line).start + way;
-        let old = std::mem::replace(&mut self.entries[idx], entry);
-        self.clear_memo();
-        self.sync_tag(idx);
-        old
+        std::mem::replace(&mut self.entries[idx], entry)
     }
 
     /// Removes the entry holding `line`, returning its way index and
@@ -401,20 +236,13 @@ impl TagArray {
     pub fn take(&mut self, line: u64) -> Option<(usize, Entry)> {
         let idx = self.peek(line)?;
         let way = idx - self.set_range(line).start;
-        let old = std::mem::replace(&mut self.entries[idx], Entry::INVALID);
-        self.clear_memo();
-        self.sync_tag(idx);
-        Some((way, old))
+        Some((way, std::mem::take(&mut self.entries[idx])))
     }
 
     /// Invalidates the entry holding `line`, returning it if it was valid.
     pub fn invalidate(&mut self, line: u64) -> Option<Entry> {
         let idx = self.peek(line)?;
-        let old = self.entries[idx];
-        self.entries[idx] = Entry::INVALID;
-        self.clear_memo();
-        self.sync_tag(idx);
-        Some(old)
+        Some(std::mem::take(&mut self.entries[idx]))
     }
 
     /// Number of valid entries (test/debug helper).
@@ -432,9 +260,6 @@ impl TagArray {
             }
             *e = Entry::INVALID;
         }
-        self.tags.fill(pack_tag(0, false));
-        self.clear_memo();
-        self.huge_lines = false;
         dirty
     }
 }
@@ -521,91 +346,6 @@ mod tests {
         assert!(t.invalidate(3).is_some());
         assert!(t.probe(3).is_none());
         assert!(t.invalidate(3).is_none());
-    }
-
-    #[test]
-    fn soa_probe_matches_scalar_probe() {
-        // Two twin arrays, one driven scalar, one SoA: every probe must
-        // give the same hit/miss answer, and every victim choice after an
-        // identical operation history must agree.
-        let mut scalar = TagArray::new(geom2way());
-        let mut soa = TagArray::new(geom2way());
-        let mut state = 0x5AC2u64;
-        let mut next = || {
-            state = state.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-            (state >> 33) % 16 // 16 lines over 4 sets
-        };
-        for _ in 0..4000 {
-            let line = next();
-            let a = scalar.probe(line);
-            let b = soa.probe_soa(line);
-            assert_eq!(a.is_some(), b.is_some(), "probe answer for line {line}");
-            assert_eq!(a, b, "probe index for line {line}");
-            if a.is_none() {
-                let wa = scalar.victim_way(line);
-                let wb = soa.victim_way(line);
-                assert_eq!(wa, wb, "victim way for line {line}");
-                scalar.fill(line, wa, 0, false);
-                soa.fill(line, wb, 0, false);
-            }
-        }
-        soa.assert_mirror_consistent();
-    }
-
-    #[test]
-    fn soa_memo_repeated_probes_keep_lru_order() {
-        let mut t = TagArray::new(geom2way());
-        t.fill(0, 0, 0, false);
-        t.fill(4, 1, 0, false);
-        // Hammer line 4 through the memo path: the first probe stamps it,
-        // the repeats short-circuit — line 0 must still be the victim.
-        for _ in 0..100 {
-            assert!(t.probe_soa(4).is_some());
-        }
-        assert_eq!(t.entry(8, t.victim_way(8)).line, 0);
-        t.assert_mirror_consistent();
-    }
-
-    #[test]
-    fn soa_memo_dropped_on_mutation() {
-        let mut t = TagArray::new(geom2way());
-        t.fill(0, 0, 0, false);
-        assert!(t.probe_soa(0).is_some(), "memo primed");
-        // Invalidate the memoized line: the next SoA probe must miss.
-        assert!(t.invalidate(0).is_some());
-        assert!(t.probe_soa(0).is_none(), "stale memo would hit here");
-        t.assert_mirror_consistent();
-    }
-
-    #[test]
-    fn soa_mirror_tracks_every_mutation() {
-        let mut t = TagArray::new(geom2way());
-        t.fill(0, 0, 0, false);
-        t.install(4, 1, Entry::INVALID);
-        t.install_as(8, 12, 0, Entry::INVALID); // tag 12 in set_of(8)
-        t.assert_mirror_consistent();
-        assert!(t.take(4).is_some());
-        assert!(t.take_as(8, 12).is_some());
-        t.assert_mirror_consistent();
-        t.invalidate_all();
-        t.assert_mirror_consistent();
-        assert!(t.probe_soa(0).is_none());
-    }
-
-    #[test]
-    fn soa_huge_line_falls_back_to_scalar() {
-        // A line with bit 63 set packs ambiguously; the SoA probe must
-        // still answer exactly.
-        let huge = 1u64 << 63;
-        let mut t = TagArray::new(geom2way());
-        let way = t.victim_way(huge);
-        t.fill(huge, way, 0, false);
-        assert!(t.probe_soa(huge).is_some());
-        assert!(
-            t.probe_soa(huge ^ (1 << 62)).is_none(),
-            "same set, bit-63 twin"
-        );
-        assert!(t.probe_soa(0).is_none());
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Replay-path equivalence: the streamed chunked replay (SACT decode one
-//! chunk at a time, every engine advancing per chunk), the chunked
-//! whole-`Vec` replay and the materialized one-config-at-a-time replay
-//! must produce identical [`Metrics`] — the figure suite's byte-identical
+//! chunk at a time, every engine advancing per chunk), the batched
+//! whole-`Vec` replay and per-cell [`Config::run`] must produce identical
+//! [`Metrics`] at any chunk boundary — the figure suite's byte-identical
 //! output rests on this.
 
 use software_assisted_caches::experiments::explain::explain_config;
 use software_assisted_caches::experiments::runner::ReplayBatch;
 use software_assisted_caches::experiments::{Config, Suite};
 use software_assisted_caches::obs::{CountingProbe, ObsConfig, TracingProbe};
-use software_assisted_caches::simcache::{LineRuns, Metrics};
+use software_assisted_caches::simcache::Metrics;
 use software_assisted_caches::trace::io::{read_text, write_binary, ChunkedReader};
 use software_assisted_caches::trace::Trace;
 
@@ -21,8 +21,7 @@ fn golden() -> Trace {
 
 /// Every organization in the study — all of them run on the shared
 /// policy engine, so all of them must replay identically on every path.
-/// The set is [`Config::all_organizations`], the same one the fused
-/// benchmarks and the CI bench guard drive.
+/// The set is [`Config::all_organizations`].
 fn configs() -> Vec<(String, Config)> {
     Config::all_organizations()
         .iter()
@@ -30,8 +29,8 @@ fn configs() -> Vec<(String, Config)> {
         .collect()
 }
 
-/// Materialized baseline: each config builds its own engine and replays
-/// the whole trace alone.
+/// Per-cell baseline: each config builds its own engine and replays the
+/// whole trace alone through [`Config::run`].
 fn one_at_a_time(cells: &[(String, Config)], trace: &Trace) -> Vec<Metrics> {
     cells.iter().map(|(_, cfg)| cfg.run(trace)).collect()
 }
@@ -46,11 +45,12 @@ fn batched(cells: &[(String, Config)], trace: &Trace) -> Vec<Metrics> {
 }
 
 /// Streamed replay: serialize to SACT bytes, then replay straight off the
-/// chunked reader without materializing the trace.
-fn streamed(cells: &[(String, Config)], trace: &Trace) -> Vec<Metrics> {
+/// chunked reader, `chunk` entries at a time, without materializing the
+/// trace.
+fn streamed(cells: &[(String, Config)], trace: &Trace, chunk: usize) -> Vec<Metrics> {
     let mut bytes = Vec::new();
     write_binary(trace, &mut bytes).expect("in-memory SACT write");
-    let mut reader = ChunkedReader::new(&bytes[..]).expect("valid SACT header");
+    let mut reader = ChunkedReader::with_chunk_size(&bytes[..], chunk).expect("valid SACT header");
     let mut batch = ReplayBatch::new();
     for (label, cfg) in cells {
         batch.push(label.clone(), cfg);
@@ -58,18 +58,8 @@ fn streamed(cells: &[(String, Config)], trace: &Trace) -> Vec<Metrics> {
     batch.replay_reader(&mut reader).expect("valid SACT stream")
 }
 
-/// A small chunk size so even the 280-reference golden trace crosses
-/// several chunk boundaries.
-fn streamed_small_chunks(cells: &[(String, Config)], trace: &Trace) -> Vec<Metrics> {
-    let mut bytes = Vec::new();
-    write_binary(trace, &mut bytes).expect("in-memory SACT write");
-    let mut reader = ChunkedReader::with_chunk_size(&bytes[..], 7).expect("valid SACT header");
-    let mut batch = ReplayBatch::new();
-    for (label, cfg) in cells {
-        batch.push(label.clone(), cfg);
-    }
-    batch.replay_reader(&mut reader).expect("valid SACT stream")
-}
+/// The streamed reader's default chunk size.
+const DEFAULT_CHUNK: usize = software_assisted_caches::trace::io::DEFAULT_CHUNK;
 
 #[test]
 fn golden_trace_replays_identically_on_all_paths() {
@@ -77,12 +67,14 @@ fn golden_trace_replays_identically_on_all_paths() {
     let cells = configs();
     let solo = one_at_a_time(&cells, &trace);
     assert_eq!(solo, batched(&cells, &trace), "batched vs solo");
-    assert_eq!(solo, streamed(&cells, &trace), "streamed vs solo");
     assert_eq!(
         solo,
-        streamed_small_chunks(&cells, &trace),
-        "7-entry chunks vs solo"
+        streamed(&cells, &trace, DEFAULT_CHUNK),
+        "streamed vs solo"
     );
+    // Small chunks, so even the 280-reference golden trace crosses
+    // several chunk boundaries.
+    assert_eq!(solo, streamed(&cells, &trace, 7), "7-entry chunks vs solo");
 }
 
 /// Drives `engine` over `trace`, either materialized (one `run_chunk`
@@ -145,22 +137,6 @@ fn golden_trace_explain_reconciles_exactly() {
     }
 }
 
-/// Like [`drive`], but through the SoA fast path.
-fn drive_soa(
-    engine: &mut dyn software_assisted_caches::simcache::CacheSim,
-    trace: &Trace,
-    chunked: bool,
-) -> Metrics {
-    if chunked {
-        for chunk in trace.as_slice().chunks(7) {
-            engine.run_chunk_soa(chunk);
-        }
-    } else {
-        engine.run_chunk_soa(trace.as_slice());
-    }
-    *engine.metrics()
-}
-
 /// A random trace with every kind of reference the tag bits can express:
 /// reads/writes, temporal/spatial tags, spatial levels and issue gaps,
 /// over a footprint that makes every organization hit *and* miss.
@@ -188,97 +164,9 @@ fn random_trace(seed: u64, len: usize) -> Trace {
         .collect()
 }
 
-/// The tentpole guarantee: the SoA probe path (packed tag lanes, way
-/// memo, hit-run batching) is *byte-identical* to the scalar reference
-/// path for every organization, on the golden trace and on random
-/// traces, materialized and chunked.
-#[test]
-fn soa_replay_is_byte_identical_to_scalar_replay() {
-    let mut traces = vec![("golden".to_string(), golden())];
-    for seed in 0..6u64 {
-        traces.push((format!("random{seed}"), random_trace(0x5AC6 + seed, 4_000)));
-    }
-    for (tname, trace) in &traces {
-        for (label, config) in configs() {
-            for chunked in [false, true] {
-                let scalar = drive(&mut *config.build(), trace, chunked);
-                let soa = drive_soa(&mut *config.build(), trace, chunked);
-                assert_eq!(scalar, soa, "{tname}/{label} chunked={chunked}");
-            }
-        }
-    }
-}
-
-/// The SoA path must stay identical under observation too: probes see
-/// the same reference stream, and metrics do not move.
-#[test]
-fn soa_probed_replay_is_metric_identical_to_scalar() {
-    let trace = golden();
-    for (label, config) in configs() {
-        let (geom, _) = config.shape();
-        let obs = ObsConfig::for_cache(geom.lines(), geom.sets(), geom.line_bytes());
-        let scalar = drive(&mut *config.build(), &trace, true);
-        let counting = drive_soa(
-            &mut *config.build_probed(CountingProbe::default()),
-            &trace,
-            true,
-        );
-        let tracing = drive_soa(
-            &mut *config.build_probed(TracingProbe::new(obs)),
-            &trace,
-            true,
-        );
-        assert_eq!(scalar, counting, "{label}+counting soa");
-        assert_eq!(scalar, tracing, "{label}+tracing soa");
-    }
-}
-
-/// Batch-level differential: the same batch replayed under both
-/// [`ProbeMode`]s gives the same metrics (this is the switch the
-/// `--scalar` flag flips).
-#[test]
-fn probe_modes_agree_at_the_batch_level() {
-    use software_assisted_caches::experiments::runner::{probe_mode, set_probe_mode, ProbeMode};
-    let trace = random_trace(0xD1FF, 6_000);
-    let cells = configs();
-    // The mode is process-global; other tests in this binary do not
-    // touch it, and we restore the default before asserting.
-    set_probe_mode(ProbeMode::Scalar);
-    let scalar = batched(&cells, &trace);
-    set_probe_mode(ProbeMode::Soa);
-    assert_eq!(probe_mode(), ProbeMode::Soa);
-    let soa = batched(&cells, &trace);
-    assert_eq!(scalar, soa);
-    assert_eq!(soa, one_at_a_time(&cells, &trace), "soa vs solo");
-}
-
-/// Like [`drive`], but through the fused path: the chunk is decoded once
-/// into a shared [`LineRuns`] arena under the engine's own line shift —
-/// exactly what a [`ReplayBatch`] does for every engine of a batch.
-fn drive_fused(
-    engine: &mut dyn software_assisted_caches::simcache::CacheSim,
-    trace: &Trace,
-    chunked: bool,
-) -> Metrics {
-    let shift = engine
-        .fused_shift()
-        .expect("every stock organization replays fused");
-    let mut runs = LineRuns::new();
-    let chunks: Vec<&[software_assisted_caches::trace::Access]> = if chunked {
-        trace.as_slice().chunks(7).collect()
-    } else {
-        vec![trace.as_slice()]
-    };
-    for chunk in chunks {
-        runs.compute_into(chunk, shift);
-        engine.run_chunk_fused(chunk, &runs);
-    }
-    *engine.metrics()
-}
-
 /// A random trace where a slice of the addresses have bit 63 set — the
-/// top-of-address-space corner where packed probe lanes must fall back
-/// to the scalar path rather than truncate tags.
+/// top-of-address-space corner, where a tag store that packed line
+/// numbers into fewer bits would truncate them.
 fn high_address_trace(seed: u64, len: usize) -> Trace {
     let mut rng = software_assisted_caches::trace::rng::SplitMix64::seed_from_u64(seed);
     (0..len)
@@ -298,12 +186,13 @@ fn high_address_trace(seed: u64, len: usize) -> Trace {
         .collect()
 }
 
-/// The fused-pass tentpole guarantee: decoding a chunk once into the
-/// shared line-run arena and replaying run-by-run is *byte-identical* to
-/// the per-engine SoA path and to the scalar reference path — for every
-/// organization, on the golden trace, on random tagged traces, on
-/// bit-63 fallback addresses, materialized and across misaligned 7-entry
-/// chunk boundaries.
+/// Per-engine byte-identity on the one replay path. The name is kept
+/// from when this compared the fused and SoA replays against scalar
+/// `run_chunk`; only `run_chunk` remains, and the same traces now check
+/// it against itself across chunking: for every organization, on the
+/// golden trace, random tagged traces and bit-63 line numbers, one
+/// whole-slice `run_chunk` equals misaligned 7-entry chunks, and the
+/// SACT stream at 7-, 33- and 777-entry chunks equals solo replay.
 #[test]
 fn fused_replay_is_byte_identical_to_soa_and_scalar() {
     let mut traces = vec![("golden".to_string(), golden())];
@@ -311,38 +200,40 @@ fn fused_replay_is_byte_identical_to_soa_and_scalar() {
         traces.push((format!("random{seed}"), random_trace(0xF5ED + seed, 4_000)));
     }
     traces.push(("high63".to_string(), high_address_trace(0x63B17, 4_000)));
+    let cells = configs();
     for (tname, trace) in &traces {
-        for (label, config) in configs() {
-            for chunked in [false, true] {
-                let scalar = drive(&mut *config.build(), trace, chunked);
-                let soa = drive_soa(&mut *config.build(), trace, chunked);
-                let fused = drive_fused(&mut *config.build(), trace, chunked);
-                assert_eq!(scalar, soa, "{tname}/{label} chunked={chunked} (soa)");
-                assert_eq!(scalar, fused, "{tname}/{label} chunked={chunked} (fused)");
-            }
+        for (label, config) in &cells {
+            let whole = drive(&mut *config.build(), trace, false);
+            let chunked = drive(&mut *config.build(), trace, true);
+            assert_eq!(whole, chunked, "{tname}/{label}: 7-entry chunks vs whole");
+        }
+        let solo = one_at_a_time(&cells, trace);
+        for chunk in [7, 33, 777] {
+            assert_eq!(
+                solo,
+                streamed(&cells, trace, chunk),
+                "{tname}: streamed {chunk}-entry chunks vs solo"
+            );
         }
     }
 }
 
-/// Batch-level differential for the fused mode switch (the default; the
-/// `--soa` and `--scalar` flags select its twins): one shared decode
-/// feeding all eight engines gives the same metrics as each engine
-/// deciding alone and as solo replay.
+/// Batch-level differential on random tagged and bit-63 traces. The name
+/// is kept from when this also switched the batch between fused and SoA
+/// probing; with one replay path left, one batch feeding all the engines
+/// must give the same metrics as each engine replaying solo.
 #[test]
 fn fused_batch_mode_agrees_with_soa_and_solo() {
-    use software_assisted_caches::experiments::runner::{probe_mode, set_probe_mode, ProbeMode};
     let cells = configs();
     for trace in [
         random_trace(0xFA57, 6_000),
         high_address_trace(0x63B18, 6_000),
     ] {
-        set_probe_mode(ProbeMode::Soa);
-        let soa = batched(&cells, &trace);
-        set_probe_mode(ProbeMode::Fused);
-        assert_eq!(probe_mode(), ProbeMode::Fused);
-        let fused = batched(&cells, &trace);
-        assert_eq!(soa, fused);
-        assert_eq!(fused, one_at_a_time(&cells, &trace), "fused vs solo");
+        assert_eq!(
+            batched(&cells, &trace),
+            one_at_a_time(&cells, &trace),
+            "batched vs solo"
+        );
     }
 }
 
@@ -354,12 +245,16 @@ fn generated_suite_trace_replays_identically_on_all_paths() {
     let cells = configs();
     let solo = one_at_a_time(&cells, &trace);
     assert_eq!(solo, batched(&cells, &trace), "batched vs solo");
-    assert_eq!(solo, streamed(&cells, &trace), "streamed vs solo");
+    assert_eq!(
+        solo,
+        streamed(&cells, &trace, DEFAULT_CHUNK),
+        "streamed vs solo"
+    );
 }
 
 /// Streamed replay off the compact SAC2 format: serialize with the
 /// delta encoder, replay through the sniffing `TraceReader` — the
-/// Metrics must match the SACT stream and the materialized replay
+/// Metrics must match the SACT stream and the batched replay
 /// bit-for-bit, across every organization, including chunk sizes that
 /// split SAC2 runs mid-stream.
 #[test]
@@ -383,8 +278,12 @@ fn sact2_streamed_replay_matches_all_other_paths() {
                 batch.push(label.clone(), cfg);
             }
             let from_sact2 = batch.replay_reader(&mut reader).expect("valid SAC2 stream");
-            assert_eq!(from_sact2, streamed(&cells, &trace), "sact2 vs sact stream");
-            assert_eq!(from_sact2, batched(&cells, &trace), "sact2 vs materialized");
+            assert_eq!(
+                from_sact2,
+                streamed(&cells, &trace, DEFAULT_CHUNK),
+                "sact2 vs sact stream"
+            );
+            assert_eq!(from_sact2, batched(&cells, &trace), "sact2 vs batched");
         }
     }
 }
