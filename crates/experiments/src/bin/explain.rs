@@ -4,7 +4,6 @@
 //! cargo run --release -p sac-experiments --bin explain
 //! cargo run --release -p sac-experiments --bin explain -- --config standard --trace miss
 //! cargo run --release -p sac-experiments --bin explain -- --obs-json obs.jsonl --sample 8
-//! cargo run --release -p sac-experiments --bin explain -- --bench-guard BENCH_replay.json
 //! ```
 //!
 //! Runs the chosen configuration over a deterministic trace with the full
@@ -47,32 +46,25 @@
 //! stored counters are cross-checked against this run, otherwise the
 //! run's counters seed the store.
 //!
-//! `--bench-guard PATH` runs two self-contained replay guards and exits
-//! non-zero if either trips: a store-warm leg asserting a warm store
-//! lookup beats the cold replay it replaces by >10x, and the run-level
-//! span layer (spans enabled vs disabled, interleaved rounds), which
-//! fails if enabling spans costs more than 1% throughput — an upper
-//! bound on the disabled span layer's overhead, which is one relaxed
-//! atomic load per replay cell. It also prints, as advice only, the
-//! unprobed (`NoopProbe`) hit-heavy / miss-heavy replay rates against
-//! the `refs_per_sec` recorded in PATH, a `figures --bench-json` report
-//! (absolute rates depend on the host, so they are not a verdict).
+//! `--help` prints the usage. The whole command line is validated
+//! before any trace is generated or any output file is created: an
+//! unknown flag, configuration, trace or protocol name, a `--cpus`
+//! count out of range or `--diff-json` without `--diff` exits with
+//! status 2.
 //!
 //! [`TracingProbe`]: sac_obs::TracingProbe
 //! [`Timeline`]: sac_obs::Timeline
 
-use sac_experiments::cli;
-use sac_experiments::coherence::{self, Protocol};
+use sac_experiments::cli::{self, ExplainCommand};
+use sac_experiments::coherence;
 use sac_experiments::diff::diff_configs;
 use sac_experiments::explain::{
-    bench_refs_per_sec, explain_config, explain_timeline, hit_heavy_trace, miss_heavy_trace,
-    mixed_trace,
+    explain_config, explain_timeline, hit_heavy_trace, miss_heavy_trace, mixed_trace,
 };
-use sac_experiments::runner::{ReplayBatch, REPLAY_CHUNK};
-use sac_experiments::{Config, ResultStore};
-use sac_obs::{registry, span};
+use sac_experiments::runner::REPLAY_CHUNK;
+use sac_experiments::ResultStore;
+use sac_obs::registry;
 use sac_trace::Trace;
-use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::time::Instant;
 
@@ -82,102 +74,35 @@ fn fail(msg: &str) -> ! {
 }
 
 fn main() {
-    let mut config_name = "soft".to_string();
-    let mut trace_name = "mixed".to_string();
-    let mut len = 500_000usize;
-    let mut obs_json: Option<String> = None;
-    let mut ring = 4096usize;
-    let mut sample = 1u64;
-    let mut top = 5usize;
-    let mut bench_guard: Option<String> = None;
-    let mut store_dir: Option<String> = None;
-    let mut timeline = false;
-    let mut window = sac_obs::DEFAULT_WINDOW_REFS;
-    let mut diff_name: Option<String> = None;
-    let mut diff_json: Option<String> = None;
-    let mut cpus = 1usize;
-    let mut protocol = Protocol::Mesi;
-
-    let mut iter = std::env::args().skip(1);
-    while let Some(a) = iter.next() {
-        let mut value = |flag: &str| {
-            iter.next()
-                .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
-        };
-        match a.as_str() {
-            "--config" => config_name = value("--config"),
-            "--trace" => trace_name = value("--trace"),
-            "--len" => len = cli::positive("--len", iter.next()).unwrap_or_else(|e| fail(&e)),
-            "--obs-json" => obs_json = Some(value("--obs-json")),
-            "--ring" => ring = cli::positive("--ring", iter.next()).unwrap_or_else(|e| fail(&e)),
-            "--sample" => {
-                sample = cli::positive("--sample", iter.next()).unwrap_or_else(|e| fail(&e))
-            }
-            "--top" => top = cli::positive("--top", iter.next()).unwrap_or_else(|e| fail(&e)),
-            "--timeline" => timeline = true,
-            "--window" => {
-                window = cli::positive("--window", iter.next()).unwrap_or_else(|e| fail(&e))
-            }
-            "--diff" => diff_name = Some(value("--diff")),
-            "--diff-json" => diff_json = Some(value("--diff-json")),
-            "--cpus" => cpus = cli::positive("--cpus", iter.next()).unwrap_or_else(|e| fail(&e)),
-            "--protocol" => {
-                let name = value("--protocol");
-                protocol = Protocol::by_name(&name).unwrap_or_else(|| {
-                    fail(&format!(
-                        "--protocol {name:?} not supported ({})",
-                        Protocol::CLI_NAMES
-                    ))
-                });
-            }
-            "--store" => store_dir = Some(value("--store")),
-            "--bench-guard" => bench_guard = Some(value("--bench-guard")),
-            "--small" => len = 50_000,
-            other => fail(&format!(
-                "unknown argument {other:?} (see the module docs for usage)"
-            )),
+    // The whole command line is checked before any work: a bad flag or
+    // name exits 2 here, before a trace is generated or a file created.
+    let args = match cli::parse_explain_args(std::env::args().skip(1)) {
+        Ok(ExplainCommand::Help) => {
+            print!("{}", cli::EXPLAIN_USAGE);
+            return;
         }
-    }
+        Ok(ExplainCommand::Run(args)) => *args,
+        Err(e) => fail(&e),
+    };
+    let (config, top) = (args.config, args.top);
 
     // Validate output paths up front: a long instrumented run must not
     // die at the final write because the directory does not exist.
-    let obs_writer = obs_json.as_ref().map(|path| {
-        let f = File::create(path)
-            .unwrap_or_else(|e| fail(&format!("--obs-json: cannot write {path}: {e}")));
-        (path.clone(), BufWriter::new(f))
-    });
-    let diff_writer = diff_json.as_ref().map(|path| {
-        let f = File::create(path)
-            .unwrap_or_else(|e| fail(&format!("--diff-json: cannot write {path}: {e}")));
-        (path.clone(), BufWriter::new(f))
-    });
-    let store = store_dir
+    let writer = |flag: &str, path: &String| match sac_trace::io::create_output(path) {
+        Ok(f) => (path.clone(), BufWriter::new(f)),
+        Err(e) => fail(&format!("{flag}: {e}")),
+    };
+    let obs_writer = args.obs_json.as_ref().map(|p| writer("--obs-json", p));
+    let diff_writer = args.diff_json.as_ref().map(|p| writer("--diff-json", p));
+    let store = args
+        .store
         .map(|dir| ResultStore::open(&dir).unwrap_or_else(|e| fail(&format!("--store: {e}"))));
 
-    let config = Config::by_name(&config_name).unwrap_or_else(|| {
-        fail(&format!(
-            "--config {config_name:?} not supported ({})",
-            Config::CLI_NAMES
-        ))
-    });
-    let diff_config = diff_name.as_ref().map(|name| {
-        Config::by_name(name).unwrap_or_else(|| {
-            fail(&format!(
-                "--diff {name:?} not supported ({})",
-                Config::CLI_NAMES
-            ))
-        })
-    });
-    if diff_json.is_some() && diff_name.is_none() {
-        fail("--diff-json needs --diff <config> to name the second side");
-    }
-    let trace: Trace = match trace_name.as_str() {
-        "mixed" => mixed_trace(len),
-        "hit" => hit_heavy_trace(len),
-        "miss" => miss_heavy_trace(len),
-        other => fail(&format!(
-            "--trace {other:?} not supported (mixed | hit | miss)"
-        )),
+    let trace: Trace = match args.trace.as_str() {
+        "mixed" => mixed_trace(args.len),
+        "hit" => hit_heavy_trace(args.len),
+        "miss" => miss_heavy_trace(args.len),
+        other => unreachable!("--trace {other} passed cli::parse_explain_args"),
     };
 
     // The multi-CPU path: shard the chosen trace round-robin over the
@@ -185,24 +110,22 @@ fn main() {
     // run is verified (SWMR + per-CPU↔global reconciliation) inside
     // `run_coherent` before anything is printed; the uniprocessor
     // explainer below is untouched when `--cpus` is 1 or absent.
-    if cpus > 1 {
-        if cpus > sac_trace::MAX_CPUS {
-            fail(&format!("--cpus: at most {} CPUs", sac_trace::MAX_CPUS));
-        }
+    if args.cpus > 1 {
+        let cpus = args.cpus;
         let (geom, mem) = config.shape();
         let tagged = coherence::shard_round_robin(&trace, cpus);
-        let label = format!("explain/{trace_name}/{}cpu", cpus);
+        let label = format!("explain/{}/{cpus}cpu", args.trace);
         let start = Instant::now();
-        let summary = coherence::run_coherent(&label, protocol, geom, mem, cpus, &tagged)
+        let summary = coherence::run_coherent(&label, args.protocol, geom, mem, cpus, &tagged)
             .unwrap_or_else(|e| fail(&format!("coherent run failed: {e}")));
         print!("{}", summary.render());
         eprintln!("coherent run took {:.2?}", start.elapsed());
         return;
     }
 
-    let label = format!("explain/{trace_name}/{config_name}");
+    let label = format!("explain/{}/{}", args.trace, args.config_name);
     let start = Instant::now();
-    let explanation = match explain_config(&label, &config, &trace, ring, sample) {
+    let explanation = match explain_config(&label, &config, &trace, args.ring, args.sample) {
         Ok(e) => e,
         Err(e) => {
             eprintln!("explain failed: {e}");
@@ -212,8 +135,8 @@ fn main() {
     print!("{}", explanation.render(top));
     eprintln!("instrumented run took {:.2?}", start.elapsed());
 
-    if timeline {
-        match explain_timeline(&label, &config, &trace, window) {
+    if args.timeline {
+        match explain_timeline(&label, &config, &trace, args.window) {
             Ok((tl, _metrics)) => {
                 print!("{}", tl.render(&label));
                 println!(
@@ -243,9 +166,8 @@ fn main() {
     // and the `--diff` config in lockstep, attribute every divergent
     // reference to a mechanism, and reconcile the attribution exactly
     // against the two sides' counter difference before printing.
-    if let Some(config_b) = &diff_config {
-        let name_b = diff_name.as_deref().expect("--diff parsed");
-        let label_b = format!("explain/{trace_name}/{name_b}");
+    if let Some((name_b, config_b)) = &args.diff {
+        let label_b = format!("explain/{}/{name_b}", args.trace);
         let diff_start = Instant::now();
         let report = diff_configs(&label, &config, &label_b, config_b, &trace, REPLAY_CHUNK)
             .unwrap_or_else(|e| fail(&format!("diff failed: {e}")));
@@ -299,132 +221,4 @@ fn main() {
         );
         eprint!("{}", reg.render_text());
     }
-
-    if let Some(path) = bench_guard {
-        run_bench_guard(&path);
-    }
-}
-
-/// Runs the self-contained store-warm and span-layer guards (exits
-/// non-zero if either trips) and prints the advisory replay rates
-/// against the snapshot at `path`.
-fn run_bench_guard(path: &str) {
-    const BENCH_LEN: usize = 2_000_000;
-    let json = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail(&format!("--bench-guard: cannot read {path}: {e}")));
-    let mut regressed = false;
-    // Absolute refs/sec is advisory only: the snapshot was recorded on
-    // some other machine, so raw throughput deltas say more about the
-    // host than about the code. The batch composition must stay in
-    // lockstep with the `figures --bench-json` timer that recorded it.
-    for (name, trace) in [
-        ("hit_heavy", hit_heavy_trace(BENCH_LEN)),
-        ("miss_heavy", miss_heavy_trace(BENCH_LEN)),
-    ] {
-        let Some(baseline) = bench_refs_per_sec(&json, name) else {
-            fail(&format!(
-                "--bench-guard: no refs_per_sec for {name} in {path}"
-            ));
-        };
-        let rate = guard_rate(name, &trace, 0);
-        let delta = 100.0 * (rate - baseline) / baseline;
-        eprintln!(
-            "bench-guard {name}: {rate:.0} refs/s vs snapshot {baseline:.0} ({delta:+.1}%), \
-             advisory"
-        );
-    }
-
-    // Store-warm guard: a warm store lookup (trace hash precomputed, as
-    // the suite does) must beat the cold replay it replaces by more than
-    // 10x — otherwise the store is overhead masquerading as a cache.
-    // Self-contained: cold and warm are timed here in a throwaway
-    // directory, so no snapshot baseline is involved.
-    {
-        let dir = std::env::temp_dir().join(format!("sac-guard-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = ResultStore::open(&dir)
-            .unwrap_or_else(|e| fail(&format!("bench-guard store_warm: {e}")));
-        let trace = hit_heavy_trace(BENCH_LEN);
-        let config = Config::standard();
-        let hash = trace.content_hash();
-        let cold_start = Instant::now();
-        let m = config.run(&trace);
-        store
-            .save(hash, &config, &m)
-            .unwrap_or_else(|e| fail(&format!("bench-guard store_warm: {e}")));
-        let cold = cold_start.elapsed().as_secs_f64();
-        let mut warm = f64::INFINITY;
-        for _ in 0..5 {
-            let warm_start = Instant::now();
-            assert_eq!(store.load(hash, &config), Some(m), "warm lookup missed");
-            warm = warm.min(warm_start.elapsed().as_secs_f64());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-        let ratio = cold / warm;
-        let verdict = if ratio <= 10.0 {
-            regressed = true;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        eprintln!(
-            "bench-guard store_warm: cold {cold:.4}s replay+save vs warm {warm:.6}s lookup \
-             ({ratio:.0}x, limit 10x) {verdict}"
-        );
-    }
-
-    // Span-layer overhead guard: time the fastest shape with run-level
-    // spans enabled vs disabled as interleaved pairs and keep the most
-    // favorable per-round ratio. Enabling records a handful of cell
-    // spans per replay, so it upper-bounds the disabled path — whose
-    // only cost is one relaxed atomic load per cell — and the guard
-    // asserts even that upper bound stays within 1%.
-    let trace = hit_heavy_trace(BENCH_LEN);
-    let mut best_ratio = 0.0f64;
-    for round in 0..5 {
-        span::set_enabled(false);
-        let off = guard_rate("span_off", &trace, round);
-        span::set_enabled(true);
-        let on = guard_rate("span_on", &trace, round);
-        best_ratio = best_ratio.max(on / off);
-    }
-    span::set_enabled(false);
-    span::reset();
-    let overhead = 100.0 * (1.0 - best_ratio.min(1.0));
-    let span_verdict = if overhead > 1.0 {
-        regressed = true;
-        "REGRESSED"
-    } else {
-        "ok"
-    };
-    eprintln!(
-        "bench-guard span_layer: spans-enabled/disabled ratio {best_ratio:.3} \
-         (overhead {overhead:.2}%, limit 1%) {span_verdict}"
-    );
-
-    if regressed {
-        eprintln!("bench-guard: a replay guard regressed (see lines above)");
-        std::process::exit(1);
-    }
-}
-
-/// Replay rate for one trace shape (one round).
-fn guard_rate(name: &str, trace: &Trace, round: usize) -> f64 {
-    let start = Instant::now();
-    let mut batch = ReplayBatch::new();
-    batch.push(
-        format!("guard/{name}/standard/{round}"),
-        &Config::standard(),
-    );
-    batch.push(
-        format!("guard/{name}/victim/{round}"),
-        &Config::standard_victim(),
-    );
-    batch.push(format!("guard/{name}/soft/{round}"), &Config::soft());
-    let engines = batch.len() as u64;
-    let metrics = batch.replay(trace);
-    let wall = start.elapsed().as_secs_f64();
-    let refs: u64 = metrics.iter().map(|m| m.refs).sum();
-    assert_eq!(refs, trace.len() as u64 * engines);
-    refs as f64 / wall
 }

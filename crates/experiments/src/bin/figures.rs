@@ -38,10 +38,6 @@
 //! the two sharing microkernels, under MESI by default or the protocol
 //! named by `--protocol mesi|dragon`. Rows run sequentially, so the
 //! table is byte-identical at any `--jobs` setting.
-//! `--bench-json PATH` additionally times raw / hit-heavy / miss-heavy
-//! replay micro-benchmarks and writes a JSON report (refs/sec, store
-//! cold/warm, peak RSS estimate, per-figure wall-clock, runner-level
-//! cell spans) to PATH.
 //! `--obs-json PATH` runs one instrumented standard + soft cell with the
 //! full `TracingProbe` and writes the telemetry as JSON Lines to PATH.
 //! `--timeline-json PATH` runs windowed-timeline cells (standard,
@@ -55,18 +51,16 @@
 //! must nest laminarly) before it is written. All output paths are
 //! validated (created) up front, so a long run cannot die at the final
 //! write. When any telemetry ran, a metrics-registry snapshot
-//! (counters / gauges / histograms) is printed to stderr at the end and
-//! embedded in the `--bench-json` report.
+//! (counters / gauges / histograms) is printed to stderr at the end.
 //! `--help` prints the usage. The command line is validated before any
 //! work starts: an unknown flag or figure id exits with status 2.
 
 use sac_experiments::cli::{self, FiguresCommand};
-use sac_experiments::explain::{self, hit_heavy_trace, miss_heavy_trace, mixed_trace};
-use sac_experiments::runner::{ReplayBatch, REPLAY_CHUNK};
+use sac_experiments::explain::{self, mixed_trace};
+use sac_experiments::runner::REPLAY_CHUNK;
 use sac_experiments::{diff, figures, runner, Config, ResultStore, Suite, Table};
 use sac_obs::registry;
 use sac_obs::span::{self, Span, SpanKey, SpanLevel, TraceMode};
-use sac_trace::{Access, Trace};
 use std::io::{BufWriter, Write};
 use std::time::Instant;
 
@@ -96,15 +90,6 @@ fn main() {
     // Validate output paths up front (satellite of the telemetry work):
     // a full `figures all` run takes minutes, and discovering a typo'd
     // directory only at the final write would throw all of it away.
-    let mut bench_writer = args
-        .bench_json
-        .map(|path| match sac_trace::io::create_output(&path) {
-            Ok(f) => (path, f),
-            Err(e) => {
-                eprintln!("--bench-json: {e}");
-                std::process::exit(2);
-            }
-        });
     let mut obs_writer = args
         .obs_json
         .map(|path| match sac_trace::io::create_output(&path) {
@@ -164,20 +149,10 @@ fn main() {
             "{}",
             sac_experiments::coherence::coherence_table(args.protocol)
         );
-        // The sweep bumps the coherence.* registry counters; with
-        // `--bench-json` they ship as a small standalone artifact so the
-        // invalidation/upgrade/c2c totals land next to the replay report.
-        if let Some((path, f)) = bench_writer.as_mut() {
-            let report = format!(
-                "{{\n  \"schema\": \"sac-bench-coherence-v1\",\n  \"registry\": {}\n}}\n",
-                registry::snapshot().to_json(2).trim_start()
-            );
-            if let Err(e) = f.write_all(report.as_bytes()) {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("wrote coherence bench report to {path}");
-        }
+        // The sweep's coherence.* totals (invalidations, upgrades,
+        // cache-to-cache fills, bus occupancy) go to stderr, like the
+        // registry snapshot of a figure run.
+        eprint!("{}", registry::snapshot().render_text());
         return;
     }
 
@@ -234,7 +209,6 @@ fn main() {
         span::sample_rss(peak_rss_bytes());
     }
 
-    let mut figure_walls: Vec<(String, f64)> = Vec::new();
     for (seq, id) in wanted.iter().enumerate() {
         // Figure sequence numbers start at 1: 0 is suite generation.
         runner::set_figure_seq(seq as u32 + 1);
@@ -246,7 +220,6 @@ fn main() {
             Some(t) => {
                 println!("{t}");
                 let wall = figure_start.elapsed();
-                figure_walls.push((id.clone(), wall.as_secs_f64()));
                 let cells = runner::cells_done() - before;
                 eprintln!("{id}: {cells} cells in {wall:.2?}");
                 if let Some(s0) = span_start {
@@ -274,7 +247,7 @@ fn main() {
     let total_wall = start.elapsed();
     eprint!("{}", runner::summary(total_wall));
 
-    // Everything past the figures proper (obs / timeline / bench cells)
+    // Everything past the figures proper (obs / timeline cells)
     // records under a sequence number no figure list can reach, so the
     // figure keys stay stable whether or not the extra passes run.
     runner::set_figure_seq(1000);
@@ -295,18 +268,9 @@ fn main() {
         eprintln!("wrote timeline JSONL to {path}");
     }
 
-    if let Some((path, f)) = bench_writer.as_mut() {
-        let report = bench_report(suite.as_ref(), &figure_walls, total_wall.as_secs_f64());
-        if let Err(e) = f.write_all(report.as_bytes()) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote replay bench report to {path}");
-    }
-
     if let Some((path, f)) = trace_writer.as_mut() {
-        // The run span closes over everything recorded above, bench and
-        // telemetry cells included.
+        // The run span closes over everything recorded above, telemetry
+        // cells included.
         span::record(Span::new(
             "figures",
             SpanLevel::Run,
@@ -422,78 +386,6 @@ fn write_obs_jsonl(w: &mut impl Write) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Replays `trace` through a Standard + Victim + Soft batch and reports
-/// engine references per second (each engine sees every reference once).
-/// Best of three rounds: single replays finish in tens of milliseconds,
-/// where one scheduling hiccup would skew the recorded rate. The batch
-/// composition must stay in lockstep with the advisory rate that
-/// `explain --bench-guard` prints against it.
-fn time_replay(trace: &Trace) -> (u64, f64, f64) {
-    let mut best: Option<(u64, f64, f64)> = None;
-    for round in 0..3 {
-        let start = Instant::now();
-        let mut batch = ReplayBatch::new();
-        batch.push(
-            format!("bench/{}/standard/{round}", trace.name()),
-            &Config::standard(),
-        );
-        batch.push(
-            format!("bench/{}/victim/{round}", trace.name()),
-            &Config::standard_victim(),
-        );
-        batch.push(
-            format!("bench/{}/soft/{round}", trace.name()),
-            &Config::soft(),
-        );
-        let engines = batch.len() as u64;
-        let metrics = batch.replay(trace);
-        let wall = start.elapsed().as_secs_f64();
-        let engine_refs: u64 = metrics.iter().map(|m| m.refs).sum();
-        assert_eq!(engine_refs, trace.len() as u64 * engines);
-        let rate = engine_refs as f64 / wall;
-        if best.is_none_or(|(_, _, r)| rate > r) {
-            best = Some((engine_refs, wall, rate));
-        }
-    }
-    best.expect("three rounds ran")
-}
-
-/// Times one cold sweep (replay + store write) and one warm sweep (store
-/// lookups only, trace hash precomputed as `Suite::attach_store` does)
-/// over the same cells, in a throwaway store directory. Returns
-/// `(cells, cold_wall_s, warm_wall_s)`; the warm wall is the best of
-/// five passes, since a handful of small-file reads is at the mercy of
-/// the page cache on the first pass.
-fn time_store_warm(trace: &Trace) -> (usize, f64, f64) {
-    let dir = std::env::temp_dir().join(format!("sac-bench-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = ResultStore::open(&dir).expect("temp store dir must be creatable");
-    let configs = [
-        Config::standard(),
-        Config::standard_victim(),
-        Config::soft(),
-    ];
-    let hash = trace.content_hash();
-
-    let cold_start = Instant::now();
-    for config in &configs {
-        let m = config.run(trace);
-        store.save(hash, config, &m).expect("store write");
-    }
-    let cold = cold_start.elapsed().as_secs_f64();
-
-    let mut warm = f64::INFINITY;
-    for _ in 0..5 {
-        let warm_start = Instant::now();
-        for config in &configs {
-            assert!(store.load(hash, config).is_some(), "warm lookup missed");
-        }
-        warm = warm.min(warm_start.elapsed().as_secs_f64());
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    (configs.len(), cold, warm)
-}
-
 /// Peak resident set size in bytes, from `/proc/self/status` `VmHWM`
 /// (0 when unavailable, e.g. off Linux).
 fn peak_rss_bytes() -> u64 {
@@ -508,120 +400,6 @@ fn peak_rss_bytes() -> u64 {
         })
         .map(|kb| kb * 1024)
         .unwrap_or(0)
-}
-
-/// Hand-rolled JSON (the build is offline: no serde): the replay
-/// micro-benchmarks, the peak-RSS estimate and the per-figure wall-clock
-/// of the run that just finished.
-fn bench_report(suite: Option<&Suite>, figure_walls: &[(String, f64)], total_wall: f64) -> String {
-    const BENCH_LEN: usize = 2_000_000;
-    let raw = match suite.and_then(|s| s.entries().first()) {
-        Some((_, t)) => Trace::clone(t).with_name("raw"),
-        None => {
-            // Suite-less invocation: a deterministic mixed pattern.
-            let mut t = Trace::with_capacity("raw", BENCH_LEN);
-            let mut x = 0x5AC0_FFEEu64;
-            for _ in 0..BENCH_LEN {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                t.push(Access::read((x >> 20) % (1 << 22)));
-            }
-            t
-        }
-    };
-    let shapes = [
-        ("raw", raw),
-        ("hit_heavy", hit_heavy_trace(BENCH_LEN)),
-        ("miss_heavy", miss_heavy_trace(BENCH_LEN)),
-    ];
-    let mut out = String::from("{\n  \"schema\": \"sac-bench-replay-v4\",\n");
-    out.push_str(&format!("  \"jobs\": {},\n", runner::jobs()));
-    out.push_str("  \"replay\": {\n");
-    for (i, (name, trace)) in shapes.iter().enumerate() {
-        let (engine_refs, wall, rate) = time_replay(trace);
-        out.push_str(&format!(
-            "    \"{name}\": {{\"engine_refs\": {engine_refs}, \"wall_s\": {wall:.6}, \"refs_per_sec\": {rate:.0}}}{}\n",
-            if i + 1 < shapes.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  },\n");
-    // The store row: cold replay-and-save vs warm lookup of the same
-    // cells, documenting what a warm `--store` sweep saves.
-    let (cells, cold, warm) = time_store_warm(&shapes[1].1);
-    out.push_str(&format!(
-        "  \"store\": {{\"cells\": {cells}, \"cold_wall_s\": {cold:.6}, \"warm_wall_s\": {warm:.6}, \"warm_speedup\": {:.1}}},\n",
-        cold / warm
-    ));
-    out.push_str(&format!("  \"peak_rss_bytes\": {},\n", peak_rss_bytes()));
-    out.push_str(&format!("  \"total_wall_s\": {total_wall:.3},\n"));
-    out.push_str("  \"figures\": [\n");
-    for (i, (id, wall)) in figure_walls.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"id\": \"{id}\", \"wall_s\": {wall:.3}}}{}\n",
-            if i + 1 < figure_walls.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&spans_json());
-    // The registry snapshot rides along so one artifact carries the
-    // whole run's counters (cells, chunks, refs, per-track busy time).
-    out.push_str(&format!(
-        "  \"registry\": {}\n",
-        registry::snapshot().to_json(2).trim_start()
-    ));
-    out.push_str("}\n");
-    out
-}
-
-/// Runner-level spans from the observability ledger: aggregate queue /
-/// occupancy totals plus the most expensive cells (wall time, chunk
-/// count, refs/sec throughput).
-fn spans_json() -> String {
-    const TOP: usize = 10;
-    let cells = runner::cells();
-    let total_chunks: u64 = cells.iter().map(|c| c.chunks).sum();
-    let total_wall: f64 = cells.iter().map(|c| c.wall.as_secs_f64()).sum();
-    let mut slowest: Vec<_> = cells.iter().collect();
-    slowest.sort_by(|a, b| b.wall.cmp(&a.wall).then_with(|| a.label.cmp(&b.label)));
-    slowest.truncate(TOP);
-
-    let mut out = String::from("  \"spans\": {\n");
-    out.push_str(&format!("    \"cells\": {},\n", cells.len()));
-    out.push_str(&format!("    \"total_chunks\": {total_chunks},\n"));
-    out.push_str(&format!("    \"total_cell_wall_s\": {total_wall:.3},\n"));
-    out.push_str("    \"slowest\": [\n");
-    for (i, c) in slowest.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"label\": \"{}\", \"wall_s\": {:.6}, \"chunks\": {}, \"refs\": {}, \"refs_per_sec\": {:.0}, \"track\": \"{}\", \"queue_wait_us\": {}}}{}\n",
-            c.label,
-            c.wall.as_secs_f64(),
-            c.chunks,
-            c.metrics.refs,
-            c.refs_per_sec(),
-            c.track(),
-            c.queue_wait.as_micros(),
-            if i + 1 < slowest.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("    ],\n");
-    let busy: Vec<(String, f64)> = {
-        let mut per_track: std::collections::BTreeMap<String, f64> =
-            std::collections::BTreeMap::new();
-        for c in &cells {
-            *per_track.entry(c.track()).or_insert(0.0) += c.wall.as_secs_f64();
-        }
-        per_track.into_iter().collect()
-    };
-    out.push_str("    \"track_busy_s\": {");
-    for (i, (track, s)) in busy.iter().enumerate() {
-        out.push_str(&format!(
-            "\"{track}\": {s:.3}{}",
-            if i + 1 < busy.len() { ", " } else { "" }
-        ));
-    }
-    out.push_str("}\n  },\n");
-    out
 }
 
 fn run_one(id: &str, suite: Option<&Suite>, small: bool) -> Option<Table> {

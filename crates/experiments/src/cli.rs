@@ -1,9 +1,11 @@
 //! Tiny argument-parsing helpers shared by the `explain`, `figures` and
 //! `report` binaries (the build is offline: no clap), and the whole
-//! command lines of `figures` and `report`, parsed up front so a bad
-//! flag or figure id fails before any work starts.
+//! command lines of all three, parsed up front so a bad flag, figure id
+//! or configuration name fails before any work starts or any output
+//! file is created.
 
 use crate::coherence::Protocol;
+use crate::Config;
 use std::str::FromStr;
 
 /// The paper's figure ids, in paper order (`figures all`).
@@ -52,7 +54,6 @@ OPTIONS:
   --coherence                      multi-CPU private-vs-shared table instead
                                    of figures
   --protocol mesi|dragon           protocol of --coherence (default: mesi)
-  --bench-json <path>              replay micro-benchmark report
   --obs-json <path>                probe telemetry as JSON Lines
   --timeline-json <path>           windowed timelines as JSON Lines
   --trace-json <path>              pipeline spans as a Chrome trace
@@ -86,8 +87,6 @@ pub struct FiguresArgs {
     pub coherence: bool,
     /// `--protocol` (MESI unless given).
     pub protocol: Protocol,
-    /// `--bench-json PATH`.
-    pub bench_json: Option<String>,
     /// `--obs-json PATH`.
     pub obs_json: Option<String>,
     /// `--timeline-json PATH`.
@@ -135,7 +134,6 @@ pub fn parse_figures_args(
             "--trace-logical" => out.trace_logical = true,
             "--trace-chunks" => out.trace_chunks = true,
             "--store" => out.store = Some(value("--store")?),
-            "--bench-json" => out.bench_json = Some(value("--bench-json")?),
             "--obs-json" => out.obs_json = Some(value("--obs-json")?),
             "--timeline-json" => out.timeline_json = Some(value("--timeline-json")?),
             "--trace-json" => out.trace_json = Some(value("--trace-json")?),
@@ -238,6 +236,167 @@ pub fn parse_report_args(args: impl IntoIterator<Item = String>) -> Result<Repor
     Ok(ReportCommand::Run(out))
 }
 
+/// `explain --help`.
+pub const EXPLAIN_USAGE: &str = "\
+explain — dissect one cache configuration with probe telemetry
+
+USAGE:
+  explain [options]
+OPTIONS:
+  --config <name>                  configuration to explain (default: soft)
+  --trace mixed|hit|miss           trace shape (default: mixed)
+  --len <n>                        trace length (default: 500000)
+  --small                          same as --len 50000
+  --obs-json <path>                probe telemetry as JSON Lines
+  --ring <n>                       sampled-event ring capacity (default: 4096)
+  --sample <n>                     keep every n-th event in the ring
+  --top <n>                        rows per ranked list (default: 5)
+  --timeline                       also print the windowed timeline
+  --window <n>                     timeline window in references
+  --diff <name>                    lockstep-diff against a second configuration
+  --diff-json <path>               the --diff report as JSON Lines
+  --cpus <n>                       run the coherent n-CPU system instead
+  --protocol mesi|dragon           protocol of --cpus (default: mesi)
+  --store <dir>                    seed or cross-check a result store
+  -h, --help                       print this help
+";
+
+/// The `explain` command line, parsed and validated.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExplainArgs {
+    /// `--config` name (`soft` unless given).
+    pub config_name: String,
+    /// The configuration `config_name` names.
+    pub config: Config,
+    /// `--trace`: `mixed`, `hit` or `miss`.
+    pub trace: String,
+    /// `--len N` / `--small` (last one wins).
+    pub len: usize,
+    /// `--obs-json PATH`.
+    pub obs_json: Option<String>,
+    /// `--ring N`.
+    pub ring: usize,
+    /// `--sample N`.
+    pub sample: u64,
+    /// `--top N`.
+    pub top: usize,
+    /// `--timeline`.
+    pub timeline: bool,
+    /// `--window N`.
+    pub window: u64,
+    /// `--diff NAME`, with the configuration it names.
+    pub diff: Option<(String, Config)>,
+    /// `--diff-json PATH` (only with `--diff`).
+    pub diff_json: Option<String>,
+    /// `--cpus N`, between 1 and `sac_trace::MAX_CPUS`.
+    pub cpus: usize,
+    /// `--protocol` (MESI unless given).
+    pub protocol: Protocol,
+    /// `--store DIR`.
+    pub store: Option<String>,
+}
+
+impl Default for ExplainArgs {
+    fn default() -> Self {
+        Self {
+            config_name: "soft".to_string(),
+            config: Config::soft(),
+            trace: "mixed".to_string(),
+            len: 500_000,
+            obs_json: None,
+            ring: 4096,
+            sample: 1,
+            top: 5,
+            timeline: false,
+            window: sac_obs::DEFAULT_WINDOW_REFS,
+            diff: None,
+            diff_json: None,
+            cpus: 1,
+            protocol: Protocol::Mesi,
+            store: None,
+        }
+    }
+}
+
+/// What an `explain` command line asks for.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ExplainCommand {
+    /// `--help` / `-h`: print [`EXPLAIN_USAGE`] and exit 0.
+    Help,
+    /// A run (boxed: the two configurations make the args large).
+    Run(Box<ExplainArgs>),
+}
+
+/// Parses the `explain` command line (without the program name).
+///
+/// # Errors
+///
+/// Returns the message the binary dies with (exit 2) for an unknown
+/// flag, a flag missing its value, a bad count, an unknown
+/// configuration, trace or protocol name, a `--cpus` count above
+/// `sac_trace::MAX_CPUS`, or `--diff-json` without `--diff`. Arguments
+/// are read in order; `--help` returns as soon as it is reached. The
+/// binary creates no output file before this returns `Ok`.
+pub fn parse_explain_args(
+    args: impl IntoIterator<Item = String>,
+) -> Result<ExplainCommand, String> {
+    let mut out = ExplainArgs::default();
+    let mut diff_name = None;
+    let mut iter = args.into_iter();
+    while let Some(a) = iter.next() {
+        let mut value = |flag: &str| iter.next().ok_or_else(|| format!("{flag} needs a value"));
+        match a.as_str() {
+            "-h" | "--help" => return Ok(ExplainCommand::Help),
+            "--config" => out.config_name = value("--config")?,
+            "--trace" => out.trace = value("--trace")?,
+            "--small" => out.len = 50_000,
+            "--timeline" => out.timeline = true,
+            "--obs-json" => out.obs_json = Some(value("--obs-json")?),
+            "--diff" => diff_name = Some(value("--diff")?),
+            "--diff-json" => out.diff_json = Some(value("--diff-json")?),
+            "--store" => out.store = Some(value("--store")?),
+            "--protocol" => {
+                let name = value("--protocol")?;
+                out.protocol = Protocol::by_name(&name).ok_or_else(|| {
+                    format!(
+                        "--protocol {name:?} not supported ({})",
+                        Protocol::CLI_NAMES
+                    )
+                })?;
+            }
+            "--len" => out.len = positive("--len", iter.next())?,
+            "--ring" => out.ring = positive("--ring", iter.next())?,
+            "--sample" => out.sample = positive("--sample", iter.next())?,
+            "--top" => out.top = positive("--top", iter.next())?,
+            "--window" => out.window = positive("--window", iter.next())?,
+            "--cpus" => out.cpus = positive("--cpus", iter.next())?,
+            other => return Err(format!("unknown argument: {other} (try 'explain --help')")),
+        }
+    }
+    let config_by_name = |flag: &str, name: &str| {
+        Config::by_name(name)
+            .ok_or_else(|| format!("{flag} {name:?} not supported ({})", Config::CLI_NAMES))
+    };
+    out.config = config_by_name("--config", &out.config_name)?;
+    if let Some(name) = diff_name {
+        let config = config_by_name("--diff", &name)?;
+        out.diff = Some((name, config));
+    }
+    if out.diff_json.is_some() && out.diff.is_none() {
+        return Err("--diff-json needs --diff <config> to name the second side".into());
+    }
+    if !matches!(out.trace.as_str(), "mixed" | "hit" | "miss") {
+        return Err(format!(
+            "--trace {:?} not supported (mixed | hit | miss)",
+            out.trace
+        ));
+    }
+    if out.cpus > sac_trace::MAX_CPUS {
+        return Err(format!("--cpus: at most {} CPUs", sac_trace::MAX_CPUS));
+    }
+    Ok(ExplainCommand::Run(Box::new(out)))
+}
+
 /// Parses the value of an integer flag, requiring it to be present,
 /// numeric and strictly positive — the contract every count-like flag
 /// (`--jobs`, `--window`, `--len`, ...) documents in its error message.
@@ -304,5 +463,59 @@ mod tests {
         );
         assert!(parse(&["--bogus"]).unwrap_err().contains("unknown flag"));
         assert!(parse(&["all"]).unwrap_err().contains("unexpected argument"));
+    }
+
+    #[test]
+    fn explain_command_line_parses_up_front() {
+        let parse = |args: &[&str]| parse_explain_args(args.iter().map(|a| a.to_string()));
+        assert_eq!(
+            parse(&["--small", "-h", "--bogus"]),
+            Ok(ExplainCommand::Help)
+        );
+        assert_eq!(parse(&[]), Ok(ExplainCommand::Run(Box::default())));
+        assert_eq!(
+            parse(&[
+                "--config",
+                "standard",
+                "--len",
+                "7",
+                "--small",
+                "--diff",
+                "victim",
+                "--diff-json",
+                "d.jsonl",
+                "--cpus",
+                "4",
+                "--protocol",
+                "dragon",
+            ]),
+            Ok(ExplainCommand::Run(Box::new(ExplainArgs {
+                config_name: "standard".into(),
+                config: Config::standard(),
+                len: 50_000,
+                diff: Some(("victim".into(), Config::standard_victim())),
+                diff_json: Some("d.jsonl".into()),
+                cpus: 4,
+                protocol: Protocol::Dragon,
+                ..ExplainArgs::default()
+            })))
+        );
+        for (args, needle) in [
+            (&["--bogus"][..], "unknown argument: --bogus"),
+            (&["--config", "bogus"], "--config \"bogus\" not supported"),
+            (&["--diff", "bogus"], "--diff \"bogus\" not supported"),
+            (&["--diff-json", "x"], "--diff-json needs --diff"),
+            (&["--trace", "bogus"], "--trace \"bogus\" not supported"),
+            (&["--cpus", "9"], "--cpus: at most"),
+            (&["--cpus", "0"], "--cpus needs a positive integer"),
+            (
+                &["--protocol", "moesi"],
+                "--protocol \"moesi\" not supported",
+            ),
+            (&["--obs-json"], "--obs-json needs a value"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
     }
 }

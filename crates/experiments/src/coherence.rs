@@ -6,8 +6,8 @@
 //! * [`run_coherent`] — one fully-verified run: the SWMR invariant is
 //!   checked after the replay, the per-CPU metrics are reconciled
 //!   exactly against the global counters, and the coherence totals land
-//!   in the global [`registry`] (`coherence.*`) so they ride along in
-//!   `figures --bench-json` snapshots.
+//!   in the global [`registry`] (`coherence.*`), whose snapshot
+//!   `figures --coherence` prints to stderr after the table.
 //! * [`shard_round_robin`] / [`privatize`] — turn a uniprocessor
 //!   benchmark trace into a shared-data or private-data multi-CPU
 //!   version of itself, the two poles the `figures --coherence` sweep

@@ -26,6 +26,7 @@
 //! the report states their global deltas separately.
 
 use crate::Config;
+use sac_obs::span::json_escape;
 use sac_obs::{
     AuxSource, FillOrigin, LifetimeSummary, LineStats, MissCause, OutcomeClass, OutcomeProbe,
     OutcomeTotals, RefOutcome,
@@ -752,24 +753,6 @@ impl DiffReport {
     }
 }
 
-/// Minimal JSON string escaping (labels and config names are plain
-/// ASCII, but a quote or backslash must not corrupt the record).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -889,11 +872,5 @@ mod tests {
             assert!(!m.name().is_empty());
         }
         assert_eq!(Mechanism::PrefetchCovered.name(), "prefetch_covered");
-    }
-
-    #[test]
-    fn json_escape_handles_quotes() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("plain"), "plain");
     }
 }

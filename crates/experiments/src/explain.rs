@@ -5,9 +5,8 @@
 //! The `explain` binary is the CLI front end; this module holds the
 //! reusable pieces: [`explain_config`] (instrumented run + standard
 //! baseline), [`Explanation`] (render + exact event↔counter
-//! reconciliation), the deterministic benchmark traces shared with the
-//! `figures --bench-json` micro-benchmarks, and the bench-guard JSON
-//! probe used by CI to detect `NoopProbe` throughput regressions.
+//! reconciliation) and the deterministic traces the `explain --trace`
+//! shapes, the coherence sweep and the diff tests replay.
 
 use crate::runner::REPLAY_CHUNK;
 use crate::Config;
@@ -430,33 +429,6 @@ impl Explanation {
     }
 }
 
-/// Extracts `"refs_per_sec"` for one replay shape from a
-/// `sac-bench-replay` JSON report (hand-rolled scan: the build is
-/// offline, no serde). Returns `None` when the shape is absent.
-pub fn bench_refs_per_sec(json: &str, shape: &str) -> Option<f64> {
-    bench_field(json, shape, "\"refs_per_sec\":")
-}
-
-/// Extracts the store-warm `"warm_speedup"` ratio (cold replay wall over
-/// warm store-lookup wall) from a `sac-bench-replay` report (v3 on).
-/// `None` for older snapshots.
-pub fn bench_store_warm_speedup(json: &str) -> Option<f64> {
-    bench_field(json, "store", "\"warm_speedup\":")
-}
-
-fn bench_field(json: &str, shape: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{shape}\"");
-    let obj = &json[json.find(&key)? + key.len()..];
-    let obj = &obj[..obj.find('}')?];
-    let rest = &obj[obj.find(field)? + field.len()..];
-    let num: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    num.parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,35 +514,7 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_probe_reads_rates() {
-        let json = r#"{
-  "replay": {
-    "raw": {"engine_refs": 10, "wall_s": 1.0, "refs_per_sec": 1234},
-    "hit_heavy": {"engine_refs": 10, "wall_s": 0.5, "refs_per_sec": 5678.5}
-  }
-}"#;
-        assert_eq!(bench_refs_per_sec(json, "raw"), Some(1234.0));
-        assert_eq!(bench_refs_per_sec(json, "hit_heavy"), Some(5678.5));
-        assert_eq!(bench_refs_per_sec(json, "nope"), None);
-        // A v2 snapshot has no store row: the extractor must report its
-        // absence, not a bogus number.
-        assert_eq!(bench_store_warm_speedup(json), None);
-    }
-
-    #[test]
-    fn bench_json_probe_reads_the_store_row() {
-        let json = r#"{
-  "replay": {
-    "hit_heavy": {"engine_refs": 10, "wall_s": 0.5, "refs_per_sec": 5678.5}
-  },
-  "store": {"cells": 3, "cold_wall_s": 0.08, "warm_wall_s": 0.0004, "warm_speedup": 200.0}
-}"#;
-        assert_eq!(bench_store_warm_speedup(json), Some(200.0));
-        assert_eq!(bench_refs_per_sec(json, "hit_heavy"), Some(5678.5));
-    }
-
-    #[test]
-    fn bench_traces_have_the_advertised_shape() {
+    fn hit_and_miss_traces_have_the_advertised_shape() {
         let m = Config::standard().run(&hit_heavy_trace(4096));
         assert!(m.main_hits > m.misses * 10, "{m}");
         let m = Config::standard().run(&miss_heavy_trace(4096));

@@ -619,8 +619,7 @@ pub fn cells_done() -> usize {
     ledger().lock().expect("ledger poisoned").len()
 }
 
-/// A snapshot of the ledger, in recording order (the runner-level spans
-/// the `figures --bench-json` report folds in).
+/// A snapshot of the ledger, in recording order.
 pub fn cells() -> Vec<CellStat> {
     ledger().lock().expect("ledger poisoned").clone()
 }

@@ -1,4 +1,4 @@
-//! Smoke tests for the `figures` and `report` binaries.
+//! Smoke tests for the `figures`, `report` and `explain` binaries.
 
 use std::process::Command;
 
@@ -227,14 +227,9 @@ fn explain_rejects_unwritable_obs_path_before_running() {
 }
 
 #[test]
-fn figures_rejects_unwritable_bench_path_before_running() {
+fn figures_rejects_unwritable_output_path_before_running() {
     let out = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args([
-            "--small",
-            "fig04b",
-            "--bench-json",
-            "/no/such/dir/bench.json",
-        ])
+        .args(["--small", "fig04b", "--obs-json", "/no/such/dir/obs.jsonl"])
         .output()
         .expect("run figures");
     assert_eq!(out.status.code(), Some(2));
@@ -242,6 +237,18 @@ fn figures_rejects_unwritable_bench_path_before_running() {
     assert!(err.contains("cannot write"), "{err}");
     // Failing fast means no figure work ran before the exit.
     assert!(String::from_utf8_lossy(&out.stdout).is_empty());
+}
+
+#[test]
+fn figures_bench_json_is_an_unknown_flag() {
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--small", "fig04b", "--bench-json", "x"])
+        .output()
+        .expect("run figures");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "figures ran anyway");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag: --bench-json"), "{err}");
 }
 
 /// The store round-trip: a cold `figures --store` run replays and
@@ -315,13 +322,60 @@ fn explain_diff_attributes_divergence_and_writes_jsonl() {
 
 #[test]
 fn explain_diff_json_requires_a_diff_config() {
+    let path = std::env::temp_dir().join(format!("sac-never-diff-{}.jsonl", std::process::id()));
     let out = Command::new(env!("CARGO_BIN_EXE_explain"))
-        .args(["--small", "--diff-json", "/tmp/never-written.jsonl"])
+        .args(["--small", "--diff-json"])
+        .arg(&path)
         .output()
         .expect("run explain");
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--diff-json needs --diff"), "{err}");
+    assert!(!path.exists(), "rejected run created {}", path.display());
+}
+
+/// Every rejected `explain` command line exits 2 before it creates the
+/// `--obs-json` file or generates a trace.
+#[test]
+fn explain_rejects_bad_arguments_before_creating_files() {
+    let path = std::env::temp_dir().join(format!("sac-never-obs-{}.jsonl", std::process::id()));
+    for (args, needle) in [
+        (
+            &["--config", "bogus"][..],
+            "--config \"bogus\" not supported",
+        ),
+        (&["--diff", "bogus"], "--diff \"bogus\" not supported"),
+        (&["--trace", "bogus"], "--trace \"bogus\" not supported"),
+        (&["--cpus", "9"], "--cpus: at most"),
+        (&["--bogus"], "unknown argument: --bogus"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_explain"))
+            .args(args)
+            .arg("--obs-json")
+            .arg(&path)
+            .output()
+            .expect("run explain");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: explain ran anyway");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(needle), "{args:?}: {err}");
+        assert!(!path.exists(), "{args:?}: created {}", path.display());
+    }
+}
+
+#[test]
+fn explain_help_prints_usage_without_work() {
+    for flag in ["--help", "-h"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_explain"))
+            .args(["--small", flag, "--bogus"])
+            .output()
+            .expect("run explain");
+        assert!(out.status.success(), "{flag}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("USAGE:"), "{text}");
+        assert!(text.contains("--diff-json"), "{text}");
+        assert!(out.stderr.is_empty(), "{flag} did work: {:?}", out.stderr);
+    }
 }
 
 #[test]

@@ -65,7 +65,7 @@ impl Probe for NoopProbe {
     fn on_chunk(&mut self, _refs: u64, _mem_cycles: u64) {}
 }
 
-/// A minimal active probe counting hooks, for tests and benches that
+/// A minimal active probe counting hooks, for tests that
 /// need `ENABLED = true` without the full telemetry stack.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CountingProbe {

@@ -12,8 +12,7 @@
 //! * [`MetricsRegistry`] — a plain value for unit tests and embedding.
 //! * The `global_*` free functions — a `Mutex`-guarded process
 //!   singleton the runner and bins update; [`snapshot`] clones it for
-//!   rendering ([`MetricsRegistry::render_text`]) or JSON embedding in
-//!   `BENCH_replay.json` ([`MetricsRegistry::to_json`]).
+//!   rendering ([`MetricsRegistry::render_text`]).
 //!
 //! Registry updates happen at coarse boundaries only (once per cell,
 //! once per progress step) — never per reference — so the lock is cold
@@ -95,62 +94,6 @@ impl MetricsRegistry {
             ));
         }
         out
-    }
-
-    /// The registry as a JSON object (hand-rolled: the build is
-    /// offline), with `indent` leading spaces on each inner line.
-    /// Histograms serialize as `{"total": n, "mean": m, "buckets": [..]}`.
-    pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let inner = " ".repeat(indent + 2);
-        let mut parts: Vec<String> = Vec::new();
-        let counters: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(k, v)| format!("{inner}  \"{k}\": {v}"))
-            .collect();
-        parts.push(format!(
-            "{inner}\"counters\": {{\n{}\n{inner}}}",
-            counters.join(",\n")
-        ));
-        let gauges: Vec<String> = self
-            .gauges
-            .iter()
-            .map(|(k, v)| format!("{inner}  \"{k}\": {}", json_f64(*v)))
-            .collect();
-        parts.push(format!(
-            "{inner}\"gauges\": {{\n{}\n{inner}}}",
-            gauges.join(",\n")
-        ));
-        let hists: Vec<String> = self
-            .hists
-            .iter()
-            .map(|(k, h)| {
-                let buckets: Vec<String> = h.buckets().iter().map(|b| b.to_string()).collect();
-                format!(
-                    "{inner}  \"{k}\": {{\"total\": {}, \"mean\": {}, \"buckets\": [{}]}}",
-                    h.total(),
-                    json_f64(h.mean()),
-                    buckets.join(", ")
-                )
-            })
-            .collect();
-        parts.push(format!(
-            "{inner}\"histograms\": {{\n{}\n{inner}}}",
-            hists.join(",\n")
-        ));
-        format!("{pad}{{\n{}\n{pad}}}", parts.join(",\n"))
-    }
-}
-
-/// An `f64` as JSON: finite values print with enough precision to
-/// round-trip; non-finite values (not representable in JSON) print as
-/// `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -272,27 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn json_shape_is_parseable_ish() {
-        let mut r = MetricsRegistry::new();
-        r.counter_add("cells", 7);
-        r.gauge_set("pct", 12.5);
-        r.hist_record("wall", 9);
-        let j = r.to_json(0);
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"counters\""));
-        assert!(j.contains("\"cells\": 7"));
-        assert!(j.contains("\"pct\": 12.500000"));
-        assert!(j.contains("\"wall\": {\"total\": 1"));
-        // Balanced braces and brackets (cheap structural check).
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "balanced braces"
-        );
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-    }
-
-    #[test]
     fn global_registry_accumulates_and_resets() {
         reset_global();
         global_counter_add("t.count", 1);
@@ -305,13 +227,6 @@ mod tests {
         assert_eq!(snap.hist("t.hist").unwrap().total(), 1);
         reset_global();
         assert!(snapshot().is_empty());
-    }
-
-    #[test]
-    fn non_finite_gauges_serialize_as_null() {
-        let mut r = MetricsRegistry::new();
-        r.gauge_set("bad", f64::NAN);
-        assert!(r.to_json(0).contains("\"bad\": null"));
     }
 
     #[test]

@@ -417,8 +417,9 @@ pub fn check_nesting(spans: &[Span], mode: TraceMode) -> Result<(), String> {
     Ok(())
 }
 
-/// Escapes a string for a JSON literal.
-fn json_escape(s: &str) -> String {
+/// Escapes a string for a JSON literal — the one escaper every
+/// hand-rolled JSON writer in the workspace shares.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -629,5 +630,7 @@ mod tests {
     fn json_escape_handles_specials() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("plain"), "plain");
     }
 }

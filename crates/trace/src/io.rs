@@ -842,7 +842,7 @@ pub fn read_any<R: Read>(r: R) -> Result<Trace, ReadError> {
 
 /// Opens `path` for writing, creating or truncating it — the one place
 /// every tool validates its output destination. Callers that do
-/// expensive work before the final write (`figures --bench-json`,
+/// expensive work before the final write (`figures --obs-json`,
 /// `sact-convert`, `sac trace`) call this up front, so a typo'd
 /// directory fails immediately instead of after minutes of simulation.
 ///

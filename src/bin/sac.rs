@@ -238,7 +238,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let name = name.ok_or("usage: sac trace <benchmark> [options]")?;
     let program = find_program(&name, small)?;
     // Validate the output path before tracing (shared helper; same
-    // policy as `sact-convert` and `figures --bench-json`): a typo'd
+    // policy as `sact-convert` and `figures --obs-json`): a typo'd
     // directory fails immediately, not after generating the trace.
     let path = out.unwrap_or_else(|| format!("{}.sact", program.name()));
     let mut w = trace_io::create_output_buffered(&path).map_err(|e| e.to_string())?;

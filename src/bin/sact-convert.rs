@@ -94,7 +94,7 @@ fn main() {
     });
 
     // Validate the output path before decoding anything (shared helper;
-    // same policy as `figures --bench-json` and `sac trace`).
+    // same policy as `figures --obs-json` and `sac trace`).
     let out = match trace_io::create_output_buffered(&out_path) {
         Ok(w) => w,
         Err(e) => {
