@@ -39,7 +39,11 @@
 //! coherence counters (invalidations with their false-sharing split,
 //! upgrades, cache-to-cache fills, write-buffer forwards, updates) and
 //! shared-bus totals are printed after the SWMR invariant and the
-//! per-CPU ↔ global metrics reconciliation are verified.
+//! per-CPU ↔ global metrics reconciliation are verified. Every CPU runs
+//! the standard cache and nothing but that report is printed, so with
+//! `--cpus` above 1 the parser rejects `--obs-json`, `--timeline`,
+//! `--diff`, `--diff-json`, `--store` and an explicit `--config` other
+//! than `standard`.
 //!
 //! `--store DIR` opens a content-addressed result store: if DIR already
 //! holds this cell (same trace content, config, engine version) the
@@ -49,8 +53,8 @@
 //! `--help` prints the usage. The whole command line is validated
 //! before any trace is generated or any output file is created: an
 //! unknown flag, configuration, trace or protocol name, a `--cpus`
-//! count out of range or `--diff-json` without `--diff` exits with
-//! status 2.
+//! count out of range, a flag `--cpus` does not use, or `--diff-json`
+//! without `--diff` exits with status 2.
 //!
 //! [`TracingProbe`]: sac_obs::TracingProbe
 //! [`Timeline`]: sac_obs::Timeline
@@ -108,7 +112,8 @@ fn main() {
     // The multi-CPU path: shard the chosen trace round-robin over the
     // CPUs and run the coherent system instead of a single engine. The
     // run is verified (SWMR + per-CPU↔global reconciliation) inside
-    // `run_coherent` before anything is printed; the uniprocessor
+    // `run_coherent` before anything is printed; the parser already
+    // rejected the flags this branch does not use. The uniprocessor
     // explainer below is untouched when `--cpus` is 1 or absent.
     if args.cpus > 1 {
         let cpus = args.cpus;

@@ -37,7 +37,10 @@
 //! plus the false-sharing fraction) over two deterministic kernels and
 //! the two sharing microkernels, under MESI by default or the protocol
 //! named by `--protocol mesi|dragon`. Rows run sequentially, so the
-//! table is byte-identical at any `--jobs` setting.
+//! table is byte-identical at any `--jobs` setting. The two passes
+//! print only their reports: the parser rejects them together, and
+//! rejects `--obs-json`, `--timeline-json`, `--trace-json` and `--store`
+//! with either.
 //! `--obs-json PATH` runs one instrumented standard + soft cell with the
 //! full `TracingProbe` and writes the telemetry as JSON Lines to PATH.
 //! `--timeline-json PATH` runs windowed-timeline cells (standard,
@@ -58,7 +61,7 @@
 use sac_experiments::cli::{self, FiguresCommand};
 use sac_experiments::explain::{self, mixed_trace};
 use sac_experiments::runner::REPLAY_CHUNK;
-use sac_experiments::{diff, figures, runner, Config, ResultStore, Suite, Table};
+use sac_experiments::{diff, figures, runner, Config, ResultStore, Suite};
 use sac_obs::registry;
 use sac_obs::span::{self, Span, SpanKey, SpanLevel, TraceMode};
 use std::io::{BufWriter, Write};
@@ -142,7 +145,7 @@ fn main() {
     // `--coherence` is a standalone pass like `--diff`: the
     // private-vs-shared multi-CPU sweep, built sequentially so the
     // emitted table is byte-identical at any `--jobs` / `--cell-jobs`
-    // setting — the property the CI coherence-determinism leg diffs.
+    // setting — the property `tests/coherence_determinism.rs` checks.
     if args.coherence {
         registry::reset_global();
         println!(
@@ -215,7 +218,7 @@ fn main() {
         let before = runner::cells_done();
         let figure_start = Instant::now();
         let span_start = tracing.then(span::now_us);
-        let table = run_one(id, suite.as_ref(), small);
+        let table = figures::by_id(id, suite.as_ref(), small);
         match table {
             Some(t) => {
                 println!("{t}");
@@ -400,51 +403,4 @@ fn peak_rss_bytes() -> u64 {
         })
         .map(|kb| kb * 1024)
         .unwrap_or(0)
-}
-
-fn run_one(id: &str, suite: Option<&Suite>, small: bool) -> Option<Table> {
-    let s = || suite.expect("suite was built for suite-based figures");
-    Some(match id {
-        "fig01a" => figures::fig01a(s()),
-        "fig01b" => figures::fig01b(s()),
-        "fig03a" => figures::fig03a(s()),
-        "fig03b" => figures::fig03b(s()),
-        "fig04a" => figures::fig04a(s()),
-        "fig04b" => figures::fig04b(),
-        "fig06a" => figures::fig06a(s()),
-        "fig06b" => figures::fig06b(s()),
-        "fig07a" => figures::fig07a(s()),
-        "fig07b" => figures::fig07b(s()),
-        "fig08a" => figures::fig08a(s()),
-        "fig08b" => figures::fig08b(s()),
-        "fig09a" => figures::fig09a(s()),
-        "fig09b" => figures::fig09b(s()),
-        "fig10a" => figures::fig10a(),
-        "fig10b" => figures::fig10b(s()),
-        "fig11a" => figures::fig11a(small),
-        "fig11b" => figures::fig11b(small),
-        "fig12" => figures::fig12(s()),
-        "summary" => figures::summary(s()),
-        "ext-var-vlines" => {
-            let leveled = if small {
-                Suite::small_leveled()
-            } else {
-                Suite::paper_leveled()
-            };
-            figures::ext_variable_vlines(&leveled)
-        }
-        "ext-pf-distance" => figures::ext_prefetch_distance(s()),
-        "ext-related" => figures::ext_related_designs(s()),
-        "ext-related-traffic" => figures::ext_related_traffic(s()),
-        "ext-miss-classes" => figures::ext_miss_classes(s()),
-        "ext-context-switch" => figures::ext_context_switch(s()),
-        "ext-copy-vline" => figures::ext_copy_vline(small),
-        "abl-bb-size" => figures::ablation_bb_size(s()),
-        "abl-bb-ways" => figures::ablation_bb_ways(s()),
-        "abl-bb-policy" => figures::ablation_bb_policy(s()),
-        "abl-phys16" => figures::ablation_physical_16(s()),
-        "abl-assoc" => figures::ablation_associativity(s()),
-        "abl-bus" => figures::ablation_bus_width(s()),
-        _ => return None,
-    })
 }

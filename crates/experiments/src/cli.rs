@@ -115,9 +115,11 @@ pub enum FiguresCommand {
 /// # Errors
 ///
 /// Returns the message the binary dies with (exit 2) for an unknown
-/// flag, a flag missing its value, a bad count or protocol, or an
-/// unknown figure id. Arguments are read in order; `--help` returns as
-/// soon as it is reached.
+/// flag, a flag missing its value, a bad count or protocol, an unknown
+/// figure id, `--coherence` together with `--diff`, or an output flag
+/// (`--obs-json`, `--timeline-json`, `--trace-json`, `--store`) with
+/// either standalone pass. Arguments are read in order; `--help`
+/// returns as soon as it is reached.
 pub fn parse_figures_args(
     args: impl IntoIterator<Item = String>,
 ) -> Result<FiguresCommand, String> {
@@ -162,6 +164,22 @@ pub fn parse_figures_args(
                     ));
                 }
             }
+        }
+    }
+    // The standalone passes return before any telemetry writer or store
+    // would be used: reject what they would leave as an empty file.
+    if out.coherence && out.diff {
+        return Err("--coherence and --diff are separate passes: run one at a time".into());
+    }
+    let outputs = [
+        (out.obs_json.is_some(), "--obs-json"),
+        (out.timeline_json.is_some(), "--timeline-json"),
+        (out.trace_json.is_some(), "--trace-json"),
+        (out.store.is_some(), "--store"),
+    ];
+    for (on, pass) in [(out.coherence, "--coherence"), (out.diff, "--diff")] {
+        if on {
+            reject_given(&outputs, pass)?;
         }
     }
     Ok(FiguresCommand::Run(out))
@@ -334,7 +352,10 @@ pub enum ExplainCommand {
 /// Returns the message the binary dies with (exit 2) for an unknown
 /// flag, a flag missing its value, a bad count, an unknown
 /// configuration, trace or protocol name, a `--cpus` count above
-/// `sac_trace::MAX_CPUS`, or `--diff-json` without `--diff`. Arguments
+/// `sac_trace::MAX_CPUS`, or `--diff-json` without `--diff`. With
+/// `--cpus` above 1 only the coherence report is printed, so
+/// `--obs-json`, `--timeline`, `--diff`, `--diff-json`, `--store` and an
+/// explicit `--config` other than `standard` are rejected too. Arguments
 /// are read in order; `--help` returns as soon as it is reached. The
 /// binary creates no output file before this returns `Ok`.
 pub fn parse_explain_args(
@@ -342,12 +363,16 @@ pub fn parse_explain_args(
 ) -> Result<ExplainCommand, String> {
     let mut out = ExplainArgs::default();
     let mut diff_name = None;
+    let mut config_given = false;
     let mut iter = args.into_iter();
     while let Some(a) = iter.next() {
         let mut value = |flag: &str| iter.next().ok_or_else(|| format!("{flag} needs a value"));
         match a.as_str() {
             "-h" | "--help" => return Ok(ExplainCommand::Help),
-            "--config" => out.config_name = value("--config")?,
+            "--config" => {
+                out.config_name = value("--config")?;
+                config_given = true;
+            }
             "--trace" => out.trace = value("--trace")?,
             "--small" => out.len = 50_000,
             "--timeline" => out.timeline = true,
@@ -394,7 +419,39 @@ pub fn parse_explain_args(
     if out.cpus > sac_trace::MAX_CPUS {
         return Err(format!("--cpus: at most {} CPUs", sac_trace::MAX_CPUS));
     }
+    if out.cpus > 1 {
+        // Every CPU runs the standard cache, and nothing but the
+        // coherence report is written.
+        let cpus = format!("--cpus {}", out.cpus);
+        reject_given(
+            &[
+                (out.obs_json.is_some(), "--obs-json"),
+                (out.timeline, "--timeline"),
+                (out.diff.is_some(), "--diff"),
+                (out.diff_json.is_some(), "--diff-json"),
+                (out.store.is_some(), "--store"),
+            ],
+            &cpus,
+        )?;
+        if config_given && out.config_name != "standard" {
+            return Err(format!(
+                "--config {:?} does not apply to {cpus}: every CPU runs the standard cache",
+                out.config_name
+            ));
+        }
+    }
     Ok(ExplainCommand::Run(Box::new(out)))
+}
+
+/// Fails on the first given flag of `flags`: `mode` (a standalone pass or
+/// a multi-CPU run) prints only its report and would never use it.
+fn reject_given(flags: &[(bool, &str)], mode: &str) -> Result<(), String> {
+    match flags.iter().find(|(given, _)| *given) {
+        Some((_, flag)) => Err(format!(
+            "{flag} does not apply to {mode}: it prints only its report"
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Parses the value of an integer flag, requiring it to be present,
@@ -484,10 +541,6 @@ mod tests {
                 "victim",
                 "--diff-json",
                 "d.jsonl",
-                "--cpus",
-                "4",
-                "--protocol",
-                "dragon",
             ]),
             Ok(ExplainCommand::Run(Box::new(ExplainArgs {
                 config_name: "standard".into(),
@@ -495,6 +548,21 @@ mod tests {
                 len: 50_000,
                 diff: Some(("victim".into(), Config::standard_victim())),
                 diff_json: Some("d.jsonl".into()),
+                ..ExplainArgs::default()
+            })))
+        );
+        assert_eq!(
+            parse(&[
+                "--config",
+                "standard",
+                "--cpus",
+                "4",
+                "--protocol",
+                "dragon"
+            ]),
+            Ok(ExplainCommand::Run(Box::new(ExplainArgs {
+                config_name: "standard".into(),
+                config: Config::standard(),
                 cpus: 4,
                 protocol: Protocol::Dragon,
                 ..ExplainArgs::default()
@@ -517,5 +585,59 @@ mod tests {
             let err = parse(args).unwrap_err();
             assert!(err.contains(needle), "{args:?}: {err}");
         }
+    }
+
+    #[test]
+    fn explain_cpus_rejects_what_the_coherent_run_ignores() {
+        let parse = |args: &[&str]| parse_explain_args(args.iter().map(|a| a.to_string()));
+        // The default configuration still runs, unchanged.
+        assert!(matches!(
+            parse(&["--small", "--cpus", "2"]),
+            Ok(ExplainCommand::Run(a)) if a.cpus == 2 && a.config_name == "soft"
+        ));
+        for (args, needle) in [
+            (
+                &["--obs-json", "x"][..],
+                "--obs-json does not apply to --cpus 2",
+            ),
+            (&["--timeline"], "--timeline does not apply"),
+            (&["--diff", "victim"], "--diff does not apply"),
+            (
+                &["--diff", "victim", "--diff-json", "d"],
+                "--diff does not apply",
+            ),
+            (&["--store", "dir"], "--store does not apply"),
+            (
+                &["--config", "victim"],
+                "--config \"victim\" does not apply to --cpus 2",
+            ),
+            (&["--config", "soft"], "every CPU runs the standard cache"),
+        ] {
+            let mut full = args.to_vec();
+            full.extend(["--cpus", "2"]);
+            let err = parse(&full).unwrap_err();
+            assert!(err.contains(needle), "{full:?}: {err}");
+            // The same flags are fine on one CPU.
+            full.truncate(args.len());
+            full.extend(["--cpus", "1"]);
+            assert!(parse(&full).is_ok(), "{full:?}");
+        }
+    }
+
+    #[test]
+    fn figures_passes_reject_outputs_they_never_write() {
+        let parse = |args: &[&str]| parse_figures_args(args.iter().map(|a| a.to_string()));
+        for pass in ["--coherence", "--diff"] {
+            for flag in ["--obs-json", "--timeline-json", "--trace-json", "--store"] {
+                let err = parse(&[pass, flag, "x"]).unwrap_err();
+                assert!(
+                    err.contains(&format!("{flag} does not apply to {pass}")),
+                    "{err}"
+                );
+                assert!(parse(&[flag, "x"]).is_ok(), "{flag} alone");
+            }
+        }
+        let err = parse(&["--coherence", "--diff"]).unwrap_err();
+        assert!(err.contains("separate passes"), "{err}");
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! Three reusable pieces:
 //!
-//! * [`run_coherent`] — one fully-verified run: the SWMR invariant is
-//!   checked after the replay, the per-CPU metrics are reconciled
-//!   exactly against the global counters, and the coherence totals land
+//! * [`run_coherent`] — one verified run: the SWMR invariant is checked
+//!   after the replay (the per-CPU metrics merge into the global block by
+//!   construction), and the coherence totals land
 //!   in the global [`registry`] (`coherence.*`), whose snapshot
 //!   `figures --coherence` prints to stderr after the table.
 //! * [`shard_round_robin`] / [`privatize`] — turn a uniprocessor
@@ -18,7 +18,8 @@
 use crate::Table;
 use sac_obs::registry;
 use sac_simcache::{
-    CacheGeometry, CoherentSystem, CpuCoherence, Dragon, MemoryModel, Mesi, Metrics,
+    CacheGeometry, CoherenceProtocol, CoherentSystem, CpuCoherence, Dragon, MemoryModel, Mesi,
+    Metrics,
 };
 use sac_trace::{Access, Trace, MAX_CPUS};
 use sac_workloads::sharing;
@@ -75,16 +76,15 @@ pub struct CoherentSummary {
 }
 
 /// Runs `trace` through a [`CoherentSystem`] of `cpus` private caches
-/// under `protocol`, verifying the SWMR invariant and the per-CPU ↔
-/// global metrics reconciliation before returning, and accumulating the
-/// coherence totals into the global metrics registry
+/// under `protocol`, verifying the SWMR invariant before returning (the
+/// per-CPU metrics merge into the global block by construction), and
+/// accumulating the coherence totals into the global metrics registry
 /// (`coherence.invalidations` / `.upgrades` / `.c2c_fills` /
 /// `.bus_occupancy`).
 ///
 /// # Errors
 ///
-/// Returns the SWMR violation or the reconciliation mismatch — either
-/// would be an engine bug, not a user error.
+/// Returns the SWMR violation — an engine bug, not a user error.
 ///
 /// # Panics
 ///
@@ -98,69 +98,39 @@ pub fn run_coherent(
     cpus: usize,
     trace: &Trace,
 ) -> Result<CoherentSummary, String> {
-    // The two protocol arms monomorphize separately; a tiny closure
-    // keeps the verification and summary assembly shared.
-    let finish = |label: &str,
-                  protocol: Protocol,
-                  metrics: Metrics,
-                  per_cpu: Vec<Metrics>,
-                  per_cpu_coherence: Vec<CpuCoherence>,
-                  bus_transactions: u64,
-                  bus_occupancy: u64|
-     -> Result<CoherentSummary, String> {
-        let merged = Metrics::merged(per_cpu.iter());
-        if merged != metrics {
-            return Err(format!(
-                "{label}: per-CPU metrics do not reconcile with the global block\n\
-                 merged: {merged}\nglobal: {metrics}"
-            ));
-        }
-        let s = CoherentSummary {
-            label: label.to_string(),
-            protocol,
-            metrics,
-            per_cpu,
-            per_cpu_coherence,
-            bus_transactions,
-            bus_occupancy,
-        };
-        let t = s.coherence_totals();
-        registry::global_counter_add("coherence.invalidations", t.invalidations_received);
-        registry::global_counter_add("coherence.upgrades", t.upgrades);
-        registry::global_counter_add("coherence.c2c_fills", t.c2c_fills);
-        registry::global_counter_add("coherence.bus_occupancy", bus_occupancy);
-        Ok(s)
+    let s = match protocol {
+        Protocol::Mesi => replay::<Mesi>(label, protocol, geom, mem, cpus, trace)?,
+        Protocol::Dragon => replay::<Dragon>(label, protocol, geom, mem, cpus, trace)?,
     };
-    match protocol {
-        Protocol::Mesi => {
-            let mut sys: CoherentSystem<Mesi> = CoherentSystem::new(geom, mem, cpus);
-            sys.run(trace);
-            sys.check_swmr().map_err(|e| format!("{label}: {e}"))?;
-            finish(
-                label,
-                protocol,
-                *sys.metrics(),
-                (0..cpus).map(|c| *sys.core_metrics(c)).collect(),
-                sys.stats().per_cpu().to_vec(),
-                sys.bus().transactions(),
-                sys.bus().occupancy_cycles(),
-            )
-        }
-        Protocol::Dragon => {
-            let mut sys: CoherentSystem<Dragon> = CoherentSystem::new(geom, mem, cpus);
-            sys.run(trace);
-            sys.check_swmr().map_err(|e| format!("{label}: {e}"))?;
-            finish(
-                label,
-                protocol,
-                *sys.metrics(),
-                (0..cpus).map(|c| *sys.core_metrics(c)).collect(),
-                sys.stats().per_cpu().to_vec(),
-                sys.bus().transactions(),
-                sys.bus().occupancy_cycles(),
-            )
-        }
-    }
+    let t = s.coherence_totals();
+    registry::global_counter_add("coherence.invalidations", t.invalidations_received);
+    registry::global_counter_add("coherence.upgrades", t.upgrades);
+    registry::global_counter_add("coherence.c2c_fills", t.c2c_fills);
+    registry::global_counter_add("coherence.bus_occupancy", s.bus_occupancy);
+    Ok(s)
+}
+
+/// One protocol's arm of [`run_coherent`].
+fn replay<Proto: CoherenceProtocol>(
+    label: &str,
+    protocol: Protocol,
+    geom: CacheGeometry,
+    mem: MemoryModel,
+    cpus: usize,
+    trace: &Trace,
+) -> Result<CoherentSummary, String> {
+    let mut sys: CoherentSystem<Proto> = CoherentSystem::new(geom, mem, cpus);
+    sys.run(trace);
+    sys.check_swmr().map_err(|e| format!("{label}: {e}"))?;
+    Ok(CoherentSummary {
+        label: label.to_string(),
+        protocol,
+        metrics: *sys.metrics(),
+        per_cpu: (0..cpus).map(|c| *sys.core_metrics(c)).collect(),
+        per_cpu_coherence: sys.stats().per_cpu().to_vec(),
+        bus_transactions: sys.bus().transactions(),
+        bus_occupancy: sys.bus().occupancy_cycles(),
+    })
 }
 
 impl CoherentSummary {
@@ -313,8 +283,7 @@ fn sweep_rows() -> Vec<(String, Trace)> {
 ///
 /// # Panics
 ///
-/// Panics if a run breaks the SWMR or reconciliation invariants (engine
-/// bug).
+/// Panics if a run breaks the SWMR invariant (engine bug).
 pub fn coherence_table(protocol: Protocol) -> Table {
     let geom = CacheGeometry::standard();
     let mem = MemoryModel::default();

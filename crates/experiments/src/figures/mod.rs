@@ -527,6 +527,56 @@ pub fn fig11b(small: bool) -> Table {
     t
 }
 
+/// The table `figures` prints for one figure id (not a group), or `None`
+/// for an unknown id. `suite` may be `None` only for the figures that
+/// build their own traces (`fig04b`, `fig10a`, `fig11a`, `fig11b`).
+pub fn by_id(id: &str, suite: Option<&Suite>, small: bool) -> Option<Table> {
+    let s = || suite.expect("suite was built for suite-based figures");
+    Some(match id {
+        "fig01a" => fig01a(s()),
+        "fig01b" => fig01b(s()),
+        "fig03a" => fig03a(s()),
+        "fig03b" => fig03b(s()),
+        "fig04a" => fig04a(s()),
+        "fig04b" => fig04b(),
+        "fig06a" => fig06a(s()),
+        "fig06b" => fig06b(s()),
+        "fig07a" => fig07a(s()),
+        "fig07b" => fig07b(s()),
+        "fig08a" => fig08a(s()),
+        "fig08b" => fig08b(s()),
+        "fig09a" => fig09a(s()),
+        "fig09b" => fig09b(s()),
+        "fig10a" => fig10a(),
+        "fig10b" => fig10b(s()),
+        "fig11a" => fig11a(small),
+        "fig11b" => fig11b(small),
+        "fig12" => fig12(s()),
+        "summary" => summary(s()),
+        "ext-var-vlines" => {
+            let leveled = if small {
+                Suite::small_leveled()
+            } else {
+                Suite::paper_leveled()
+            };
+            ext_variable_vlines(&leveled)
+        }
+        "ext-pf-distance" => ext_prefetch_distance(s()),
+        "ext-related" => ext_related_designs(s()),
+        "ext-related-traffic" => ext_related_traffic(s()),
+        "ext-miss-classes" => ext_miss_classes(s()),
+        "ext-context-switch" => ext_context_switch(s()),
+        "ext-copy-vline" => ext_copy_vline(small),
+        "abl-bb-size" => ablation_bb_size(s()),
+        "abl-bb-ways" => ablation_bb_ways(s()),
+        "abl-bb-policy" => ablation_bb_policy(s()),
+        "abl-phys16" => ablation_physical_16(s()),
+        "abl-assoc" => ablation_associativity(s()),
+        "abl-bus" => ablation_bus_width(s()),
+        _ => return None,
+    })
+}
+
 /// Figure 12: prefetching (AMAT).
 pub fn fig12(suite: &Suite) -> Table {
     amat_table(

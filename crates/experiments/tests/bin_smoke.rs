@@ -453,3 +453,102 @@ fn figures_rejects_unwritable_store_dir_before_running() {
     assert!(String::from_utf8_lossy(&out.stdout).is_empty());
     std::fs::remove_file(&blocker).ok();
 }
+
+/// `explain --cpus N` (N > 1) prints only the coherence report, so the
+/// outputs it would never write and a non-standard `--config` exit 2
+/// before any file is created.
+#[test]
+fn explain_cpus_rejects_ignored_flags_before_creating_files() {
+    let path = std::env::temp_dir().join(format!("sac-never-cpus-{}.jsonl", std::process::id()));
+    for (args, needle) in [
+        (&["--obs-json"][..], "--obs-json does not apply to --cpus 2"),
+        (
+            &["--diff", "victim", "--diff-json"],
+            "--diff does not apply",
+        ),
+        (&["--timeline", "--obs-json"], "does not apply to --cpus 2"),
+        (
+            &["--config", "victim", "--obs-json"],
+            "--obs-json does not apply",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_explain"))
+            .args(["--small", "--cpus", "2"])
+            .args(args)
+            .arg(&path)
+            .output()
+            .expect("run explain");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: explain ran anyway");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(needle), "{args:?}: {err}");
+        assert!(!path.exists(), "{args:?}: created {}", path.display());
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_explain"))
+        .args(["--small", "--cpus", "2", "--config", "victim"])
+        .output()
+        .expect("run explain");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("every CPU runs the standard cache"), "{err}");
+}
+
+/// The standalone `--coherence` and `--diff` passes never run the
+/// telemetry writers or the store: naming one exits 2 and leaves no
+/// file behind.
+#[test]
+fn figures_passes_reject_output_flags_before_creating_files() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let x = dir.join(format!("sac-never-pass-obs-{pid}.jsonl"));
+    let y = dir.join(format!("sac-never-pass-tl-{pid}.jsonl"));
+    let z = dir.join(format!("sac-never-pass-trace-{pid}.json"));
+    let s = dir.join(format!("sac-never-pass-store-{pid}"));
+    let runs: [(Vec<&std::ffi::OsStr>, &str); 4] = [
+        (
+            vec![
+                "--coherence".as_ref(),
+                "--obs-json".as_ref(),
+                x.as_os_str(),
+                "--timeline-json".as_ref(),
+                y.as_os_str(),
+            ],
+            "does not apply to --coherence",
+        ),
+        (
+            vec![
+                "--small".as_ref(),
+                "--diff".as_ref(),
+                "--trace-json".as_ref(),
+                z.as_os_str(),
+            ],
+            "--trace-json does not apply to --diff",
+        ),
+        (
+            vec![
+                "--small".as_ref(),
+                "--diff".as_ref(),
+                "--store".as_ref(),
+                s.as_os_str(),
+            ],
+            "--store does not apply to --diff",
+        ),
+        (
+            vec!["--coherence".as_ref(), "--diff".as_ref()],
+            "separate passes",
+        ),
+    ];
+    for (args, needle) in runs {
+        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(&args)
+            .output()
+            .expect("run figures");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: figures ran anyway");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(needle), "{args:?}: {err}");
+        for p in [&x, &y, &z, &s] {
+            assert!(!p.exists(), "{args:?}: created {}", p.display());
+        }
+    }
+}

@@ -1,21 +1,13 @@
-//! The shared snoop bus: one arbitrated path to memory that every cache
-//! of a (possibly multi-core) memory system charges its transfers
-//! through.
+//! The snoop bus: one arbitrated path to memory that a cache charges
+//! its transfers through.
 //!
-//! In the uniprocessor study the bus was implicit plumbing inside
-//! [`crate::MemorySystem`]: a [`MemoryModel`] consulted for fetch and
-//! transfer costs. Extracting it into [`SnoopBus`] makes the bus a
-//! first-class participant so multiple caches can attach as *snoopers*:
-//! the bus prices the classic invalidation-protocol transactions
-//! (BusRd, BusRdX, BusUpgr, flush), distinguishes a cache-to-cache
-//! transfer from a memory fill, and keeps occupancy books that a
-//! contention analysis can read back.
-//!
-//! The uniprocessor cost arithmetic is unchanged by construction:
-//! [`SnoopBus::fetch_cycles`] computes exactly the
-//! `t_lat + n·LS/w_b` the memory system always charged, so a
-//! single-core system routed through the bus produces byte-identical
-//! figures.
+//! Every [`crate::MemorySystem`] owns one and prices its line fetches on
+//! it ([`SnoopBus::fetch_cycles`] is exactly `t_lat + n·LS/w_b`). A
+//! [`crate::CoherentSystem`] keeps one more beside its cores and prices
+//! every core's fills and coherence transactions there (BusRd, BusRdX,
+//! BusUpgr, flush), telling a cache-to-cache transfer from a memory
+//! fill; its cores' own buses stay idle. The bus keeps the transaction
+//! and occupancy books a contention analysis can read back.
 
 use crate::{MemoryModel, SNOOP_CYCLES};
 
@@ -37,18 +29,6 @@ pub enum BusTx {
     Flush,
 }
 
-impl BusTx {
-    /// Short lower-case name (telemetry labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            BusTx::BusRd => "bus_rd",
-            BusTx::BusRdX => "bus_rdx",
-            BusTx::BusUpgr => "bus_upgr",
-            BusTx::Flush => "flush",
-        }
-    }
-}
-
 /// Where the data of a miss fill came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FillSource {
@@ -62,9 +42,9 @@ pub enum FillSource {
 /// The shared snoop bus: [`MemoryModel`] parameters, the line size every
 /// transfer is priced at, and occupancy counters.
 ///
-/// A uniprocessor memory system owns a private bus with one participant;
-/// a [`crate::CoherentSystem`] shares one instance across all cores so
-/// transaction counts and occupancy aggregate globally.
+/// Every memory system owns one; a [`crate::CoherentSystem`] prices all
+/// its cores' transactions on one more, so counts and occupancy
+/// aggregate globally.
 #[derive(Debug, Clone)]
 pub struct SnoopBus {
     mem: MemoryModel,
@@ -204,13 +184,5 @@ mod tests {
         let mut b = bus();
         assert_eq!(b.transaction_cycles(BusTx::Flush, FillSource::Memory), 2);
         assert_eq!(b.occupancy_cycles(), 2);
-    }
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(BusTx::BusRd.name(), "bus_rd");
-        assert_eq!(BusTx::BusRdX.name(), "bus_rdx");
-        assert_eq!(BusTx::BusUpgr.name(), "bus_upgr");
-        assert_eq!(BusTx::Flush.name(), "flush");
     }
 }

@@ -1,7 +1,8 @@
 //! Per-line coherence state and the snooping-protocol state machines.
 //!
-//! A multi-core [`crate::CoherentSystem`] keeps one [`LineState`] per
-//! tag-array slot alongside the [`crate::TagArray`] entries. The
+//! Each core of a multi-core [`crate::CoherentSystem`] keeps one
+//! [`LineState`] per tag-array slot in its [`crate::StandardPolicy`]
+//! sidecar, alongside the [`crate::TagArray`] entries. The
 //! transitions are factored into the [`CoherenceProtocol`] trait with
 //! two implementations: the invalidation-based [`Mesi`] (the default)
 //! and the update-based [`Dragon`], whose Sm/Sc states map onto
@@ -11,6 +12,8 @@
 //! (state, bus action); all costing and bookkeeping stays in the
 //! coherent driver, so the protocol table below is exactly what a
 //! textbook diagram shows and what `DESIGN.md` §16 documents.
+
+use crate::BusTx;
 
 /// The coherence state of one cached line.
 ///
@@ -93,6 +96,36 @@ pub struct SnoopReaction {
     /// Whether the copy's dirty data must be flushed toward memory as
     /// part of the transaction.
     pub flush_dirty: bool,
+}
+
+/// Another cache's bus transaction, as a snooping cache sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Snoop {
+    /// The line the transaction is about.
+    pub line: u64,
+    /// What the requester put on the bus: BusRd, BusRdX, or BusUpgr — an
+    /// ownership upgrade, or a word update under an update-based
+    /// protocol.
+    pub tx: BusTx,
+    /// Word-in-line index of the requester's reference (clamped to 63):
+    /// a copy a write invalidates is *false sharing* when its CPU never
+    /// touched this word.
+    pub word: u32,
+    /// The bus cycle of the transaction.
+    pub now: u64,
+}
+
+/// What a snooping cache did about a [`Snoop`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SnoopReply {
+    /// It can source a cache-to-cache fill.
+    pub supply: bool,
+    /// It still holds a valid copy afterwards.
+    pub holds: bool,
+    /// It flushed its dirty copy into its write buffer.
+    pub flushed: bool,
+    /// It lost its copy: `Some(false_sharing)`.
+    pub invalidated: Option<bool>,
 }
 
 /// A snooping coherence protocol: pure transition tables consulted by

@@ -1,54 +1,47 @@
 //! The multi-core coherent memory system: private caches on a shared
 //! snoop bus.
 //!
-//! [`CoherentSystem`] attaches one private standard cache per CPU to a
-//! shared [`SnoopBus`] and a shared cycle [`Clock`], and drives a
-//! cpu-tagged interleaved trace (see
-//! [`sac_trace::interleave_round_robin`]) through them under a snooping
-//! coherence protocol — the invalidation-based [`Mesi`] by default, the
-//! update-based [`crate::Dragon`] as the comparison point. Per-line
-//! protocol state lives in a [`LineState`] sidecar indexed like the
-//! [`TagArray`], dirty victims drain through per-core
-//! [`SnoopWriteBuffer`]s whose pending entries answer remote snoops
-//! (write-buffer forwarding), and every access is accounted twice — in
-//! the owning core's [`Metrics`] and in a global block kept in lockstep —
-//! so per-CPU totals reconcile with the system totals counter for
-//! counter.
+//! [`CoherentSystem`] runs one ordinary [`CacheEngine`] over a
+//! [`StandardPolicy`] per CPU and drives a cpu-tagged interleaved trace
+//! (see [`sac_trace::interleave_round_robin`]) through them under a
+//! snooping coherence protocol — the invalidation-based [`Mesi`] by
+//! default, the update-based [`crate::Dragon`] as the comparison point.
+//! [`CacheEngine::begin`] counts each reference and probes the main
+//! array; [`CacheEngine::finish`] charges the hit or runs the policy's
+//! fill, victim choice and write-back. Between the two halves, on a miss
+//! or a write hit, the driver calls the [`crate::CachePolicy::snoop`]
+//! hook of every other core, asks whether a copy or a pending write-buffer
+//! entry anywhere can supply the line, and prices the transaction on the
+//! one shared [`SnoopBus`]. The cores also share one [`Clock`], swapped
+//! into whichever core is acting. The per-line protocol state and
+//! touched-word mask live in each policy's [`CoherentSlots`] sidecar;
+//! the system's metrics are the cores' metrics merged.
 //!
-//! **Timing.** A hit costs [`MAIN_HIT_CYCLES`]. A miss pays the arrival
-//! stall plus one bus transaction: `t_lat + LS/w_b` when memory supplies
-//! the line, [`crate::SNOOP_CYCLES`]` + LS/w_b` when another cache (or a
-//! pending write-buffer entry) does. A MESI write hit on a shared line
-//! pays an address-only BusUpgr ([`crate::SNOOP_CYCLES`]); a dirty
-//! owner's flush in response to a remote transaction is hidden behind
-//! the requester's fill and charged to bus occupancy only, with the
-//! write-back itself going through the owner's write buffer. A
-//! single-CPU [`CoherentSystem`] therefore reproduces the uniprocessor
-//! [`crate::StandardCache`] timing exactly (no sharer ever exists, so
-//! no coherence transaction is ever priced) — a property the unit tests
-//! pin down.
+//! **Timing.** A hit costs [`crate::MAIN_HIT_CYCLES`]. A miss pays the
+//! arrival stall plus one bus transaction: `t_lat + LS/w_b` when memory
+//! supplies the line, [`crate::SNOOP_CYCLES`]` + LS/w_b` when another
+//! cache (or a pending write-buffer entry) does. A MESI write hit on a
+//! shared line pays an address-only BusUpgr ([`crate::SNOOP_CYCLES`]); a
+//! dirty owner's flush in response to a remote transaction is hidden
+//! behind the requester's fill and charged to bus occupancy only, with
+//! the write-back itself going through the owner's write buffer. A
+//! single-CPU [`CoherentSystem`] is therefore the uniprocessor
+//! [`crate::StandardCache`]: no sharer ever exists, so no coherence
+//! transaction is ever priced.
 //!
-//! **False sharing.** Every tag-array slot of every core carries, next
-//! to its protocol state, a bitmask of the words that CPU touched since
-//! the slot was last filled. When a remote write invalidates a copy, the
-//! invalidation is classified *false sharing* if the victim never
-//! touched the word the writer is modifying — the ping-pong is an
-//! artifact of line granularity, not a data dependence. The mask sits
-//! beside the slot it describes, so no side lookup runs per reference;
-//! it is zeroed when the slot is filled and when its copy is
-//! invalidated.
-//!
-//! **Exclusive write hits.** A write hit on an M or E copy skips the
-//! scan of the remote caches: under the single-writer/multiple-reader
-//! invariant an exclusive copy has no remote holders (debug builds
-//! still assert it).
+//! **False sharing.** A remote write that invalidates a copy is
+//! classified *false sharing* if the victim CPU never touched the word
+//! the writer is modifying since the slot was filled — the ping-pong is
+//! an artifact of line granularity, not a data dependence.
 
 use crate::{
-    BusTx, CacheGeometry, Clock, CoherenceProtocol, FillSource, LineState, MemoryModel, Mesi,
-    Metrics, SnoopBus, SnoopWriteBuffer, TagArray, WriteHitAction, MAIN_HIT_CYCLES,
+    BusTx, CacheEngine, CacheGeometry, CacheSim, Clock, CoherenceProtocol, FillSource, LineState,
+    Lookup, MemoryModel, MemorySystem, Mesi, Metrics, Sidecar, Snoop, SnoopBus, SnoopReaction,
+    SnoopReply, StandardPolicy, TagArray, WriteHitAction,
 };
 use sac_obs::{CoherenceOp, Event, NoopProbe, Probe};
 use sac_trace::{Access, Trace, MAX_CPUS, WORD_BYTES};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
@@ -92,12 +85,6 @@ pub struct CoherenceStats {
 }
 
 impl CoherenceStats {
-    fn new(cpus: usize) -> Self {
-        CoherenceStats {
-            per_cpu: vec![CpuCoherence::default(); cpus],
-        }
-    }
-
     /// The per-CPU counter blocks, indexed by CPU id.
     pub fn per_cpu(&self) -> &[CpuCoherence] {
         &self.per_cpu
@@ -114,45 +101,117 @@ impl CoherenceStats {
 }
 
 /// Per-slot coherence metadata of one tag-array entry.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Slot {
     /// Protocol state, kept in sync with the entry's valid/dirty bits.
     state: LineState,
     /// Bitmask of the words (word-in-line index, clamped to 63) this CPU
-    /// touched since the slot was filled. Drives the false-sharing
-    /// classifier.
+    /// touched since the slot was filled.
     words: u64,
 }
 
-impl Slot {
-    const INVALID: Slot = Slot {
-        state: LineState::Invalid,
-        words: 0,
-    };
-}
-
-/// One CPU's private cache: tag array, per-slot sidecar, write buffer,
-/// metrics and probe.
+/// The coherence [`Sidecar`] of one core's [`StandardPolicy`]: a
+/// [`Slot`] per tag-array entry (same global indexing as the
+/// [`TagArray`]), plus what the bus answered for the miss in progress.
 #[derive(Debug, Clone)]
-struct Core<P: Probe> {
-    tags: TagArray,
-    /// Coherence metadata per tag-array slot, same global indexing as
-    /// the [`TagArray`] (set × ways + way).
+pub struct CoherentSlots<Proto> {
+    geom: CacheGeometry,
     slots: Vec<Slot>,
-    wb: SnoopWriteBuffer,
-    metrics: Metrics,
-    probe: P,
+    /// Whether other copies survive the snoop of the miss in progress.
+    shared: bool,
+    /// What the shared bus charged for that miss's fill.
+    fill_cycles: u64,
+    _proto: PhantomData<Proto>,
 }
 
-/// What the snoop phase of one transaction found and did.
-struct SnoopOutcome {
-    /// Remote copies still valid after the reactions.
-    holders_after: usize,
-    /// A remote cache able to source a cache-to-cache fill (a dirty
-    /// owner if one exists, else the lowest-numbered supplier — a
-    /// deterministic choice).
-    supplier: Option<usize>,
+impl<Proto> CoherentSlots<Proto> {
+    /// Word-in-line bit index of `addr` (clamped to the 64-bit mask
+    /// width; lines above 512 bytes alias their tail words, which only
+    /// makes the false-sharing classifier conservative).
+    #[inline]
+    fn word(&self, addr: u64) -> u32 {
+        let line = self.geom.line_of(addr);
+        ((addr - line * self.geom.line_bytes()) / WORD_BYTES).min(63) as u32
+    }
 }
+
+impl<Proto: CoherenceProtocol> Sidecar for CoherentSlots<Proto> {
+    #[inline]
+    fn fetch(&mut self, sys: &mut MemorySystem) -> u64 {
+        sys.record_fetch_traffic(1);
+        self.fill_cycles
+    }
+
+    #[inline]
+    fn filled(&mut self, tags: &TagArray, line: u64, way: usize, a: &Access) {
+        let state = if a.kind().is_write() {
+            Proto::fill_write(self.shared)
+        } else {
+            Proto::fill_read(self.shared)
+        };
+        let words = 1 << self.word(a.addr());
+        self.slots[tags.index(line, way)] = Slot { state, words };
+    }
+
+    #[inline]
+    fn touched(&mut self, idx: usize, a: &Access) {
+        self.slots[idx].words |= 1 << self.word(a.addr());
+    }
+
+    fn snoop<P: Probe>(
+        &mut self,
+        tags: &mut TagArray,
+        sys: &mut MemorySystem,
+        probe: &mut P,
+        req: &Snoop,
+    ) -> SnoopReply {
+        let Some(idx) = tags.peek(req.line) else {
+            return SnoopReply::default();
+        };
+        let state = self.slots[idx].state;
+        debug_assert!(state.is_valid(), "valid tag with Invalid sidecar state");
+        let r = match req.tx {
+            BusTx::BusRd => Proto::snoop_read(state),
+            BusTx::BusUpgr if Proto::UPDATE_BASED => SnoopReaction {
+                next: Proto::snoop_update(state),
+                supply: false,
+                flush_dirty: false,
+            },
+            _ => Proto::snoop_write(state),
+        };
+        if r.flush_dirty {
+            let _ = sys.writeback_at(req.now, req.line);
+            if P::ENABLED {
+                probe.on_event(&Event::Writeback { line: req.line });
+            }
+        }
+        let mut reply = SnoopReply {
+            supply: r.supply,
+            holds: r.next.is_valid(),
+            flushed: r.flush_dirty,
+            invalidated: None,
+        };
+        if reply.holds {
+            self.slots[idx].state = r.next;
+            tags.entry_at_mut(idx).dirty = r.next.is_dirty();
+        } else {
+            tags.invalidate(req.line);
+            let words = std::mem::take(&mut self.slots[idx]).words;
+            reply.invalidated = Some(words >> req.word & 1 == 0);
+            if P::ENABLED {
+                probe.on_event(&Event::MainEvict {
+                    line: req.line,
+                    dirty: false,
+                });
+            }
+        }
+        reply
+    }
+}
+
+/// One CPU of a [`CoherentSystem`]: the ordinary engine over a
+/// [`StandardPolicy`] carrying the coherence sidecar.
+type Core<Proto, P> = CacheEngine<StandardPolicy<CoherentSlots<Proto>>, P>;
 
 /// A multi-core memory system: one private standard cache per CPU,
 /// kept coherent over a shared snoop bus by the protocol `Proto`.
@@ -172,13 +231,14 @@ struct SnoopOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CoherentSystem<Proto: CoherenceProtocol = Mesi, P: Probe = NoopProbe> {
-    geom: CacheGeometry,
+    cores: Vec<Core<Proto, P>>,
     bus: SnoopBus,
+    /// The shared clock, while no core is acting.
     clock: Clock,
-    cores: Vec<Core<P>>,
-    global: Metrics,
+    /// The cores' metrics merged, built on the first read after an
+    /// access.
+    global: OnceCell<Metrics>,
     stats: CoherenceStats,
-    _proto: PhantomData<Proto>,
 }
 
 impl<Proto: CoherenceProtocol> CoherentSystem<Proto, NoopProbe> {
@@ -202,58 +262,40 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
     pub fn with_probes(geom: CacheGeometry, mem: MemoryModel, probes: Vec<P>) -> Self {
         assert!(!probes.is_empty(), "need at least one CPU");
         assert!(probes.len() <= MAX_CPUS, "at most {MAX_CPUS} CPUs");
-        let retire = mem.transfer_cycles(geom.line_bytes());
-        let cores = probes
-            .into_iter()
-            .map(|probe| Core {
-                tags: TagArray::new(geom),
-                slots: vec![Slot::INVALID; geom.lines() as usize],
-                wb: SnoopWriteBuffer::new(8, retire),
-                metrics: Metrics::new(),
-                probe,
-            })
-            .collect::<Vec<_>>();
-        let stats = CoherenceStats::new(cores.len());
-        CoherentSystem {
+        let side = CoherentSlots {
             geom,
+            slots: vec![Slot::default(); geom.lines() as usize],
+            shared: false,
+            fill_cycles: 0,
+            _proto: PhantomData,
+        };
+        CoherentSystem {
+            stats: CoherenceStats {
+                per_cpu: vec![CpuCoherence::default(); probes.len()],
+            },
+            cores: probes
+                .into_iter()
+                .map(|probe| {
+                    let policy = StandardPolicy::with_sidecar(geom, side.clone());
+                    let sys = MemorySystem::new(mem, geom.line_bytes());
+                    CacheEngine::from_parts(policy, sys, probe)
+                })
+                .collect(),
             bus: SnoopBus::new(mem, geom.line_bytes()),
             clock: Clock::new(),
-            cores,
-            global: Metrics::new(),
-            stats,
-            _proto: PhantomData,
+            global: OnceCell::new(),
         }
     }
 
-    /// The protocol's display name.
-    pub fn protocol_name(&self) -> &'static str {
-        Proto::NAME
-    }
-
-    /// Number of CPUs.
-    pub fn cpus(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// The cache geometry every core shares.
-    pub fn geometry(&self) -> CacheGeometry {
-        self.geom
-    }
-
-    /// The global metrics (all CPUs' work combined).
+    /// The global metrics: every CPU's metrics merged.
     pub fn metrics(&self) -> &Metrics {
-        &self.global
+        self.global
+            .get_or_init(|| Metrics::merged(self.cores.iter().map(|c| c.metrics())))
     }
 
     /// One CPU's private metrics.
     pub fn core_metrics(&self, cpu: usize) -> &Metrics {
-        &self.cores[cpu].metrics
-    }
-
-    /// The per-CPU metrics merged — by construction equal to
-    /// [`CoherentSystem::metrics`], which the invariant tests assert.
-    pub fn merged_core_metrics(&self) -> Metrics {
-        Metrics::merged(self.cores.iter().map(|c| &c.metrics))
+        self.cores[cpu].metrics()
     }
 
     /// The coherence counters.
@@ -268,12 +310,12 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
 
     /// One CPU's probe.
     pub fn probe(&self, cpu: usize) -> &P {
-        &self.cores[cpu].probe
+        self.cores[cpu].probe()
     }
 
     /// Consumes the system, returning the per-CPU probes.
     pub fn into_probes(self) -> Vec<P> {
-        self.cores.into_iter().map(|c| c.probe).collect()
+        self.cores.into_iter().map(|c| c.into_probe()).collect()
     }
 
     /// Runs a whole cpu-tagged trace through the system.
@@ -287,140 +329,6 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
         }
     }
 
-    /// Word-in-line bit index of `addr`, which lies in `line` (clamped
-    /// to the 64-bit mask width; lines above 512 bytes alias their tail
-    /// words, which only makes the false-sharing classifier
-    /// conservative).
-    #[inline]
-    fn word_bit(&self, addr: u64, line: u64) -> u32 {
-        ((addr - line * self.geom.line_bytes()) / WORD_BYTES).min(63) as u32
-    }
-
-    #[inline]
-    fn emit(&mut self, cpu: usize, line: u64, op: CoherenceOp) {
-        if P::ENABLED {
-            self.cores[cpu].probe.on_event(&Event::Coherence {
-                cpu: cpu as u8,
-                line,
-                op,
-            });
-        }
-    }
-
-    /// Charges an access cost to `cpu` and the global books, advancing
-    /// the shared clock past it.
-    fn charge(&mut self, cpu: usize, cost: u64) {
-        self.cores[cpu].metrics.mem_cycles += cost;
-        self.global.mem_cycles += cost;
-        self.clock.complete(cost);
-    }
-
-    /// Number of remote caches currently holding a valid copy of `line`.
-    fn remote_holders(&self, cpu: usize, line: u64) -> usize {
-        self.cores
-            .iter()
-            .enumerate()
-            .filter(|&(c, core)| c != cpu && core.tags.peek(line).is_some())
-            .count()
-    }
-
-    /// The snoop phase of a transaction by `requester` on `line`:
-    /// applies every remote copy's protocol reaction (state change,
-    /// invalidation, dirty flush), books the coherence counters and
-    /// events, and reports what remains plus a deterministic supplier.
-    fn snoop_remotes(
-        &mut self,
-        requester: usize,
-        line: u64,
-        is_write: bool,
-        writer_bit: u32,
-    ) -> SnoopOutcome {
-        let mut out = SnoopOutcome {
-            holders_after: 0,
-            supplier: None,
-        };
-        let mut owner_supplier = None;
-        let now = self.clock.now();
-        for c in 0..self.cores.len() {
-            if c == requester {
-                continue;
-            }
-            let Some(ridx) = self.cores[c].tags.peek(line) else {
-                continue;
-            };
-            let state = self.cores[c].slots[ridx].state;
-            debug_assert!(state.is_valid(), "valid tag with Invalid sidecar state");
-            let r = if is_write {
-                Proto::snoop_write(state)
-            } else {
-                Proto::snoop_read(state)
-            };
-            if r.supply {
-                if state.is_owner() {
-                    owner_supplier = Some(c);
-                } else if out.supplier.is_none() {
-                    out.supplier = Some(c);
-                }
-            }
-            if r.flush_dirty {
-                // The owner pushes its dirty line toward memory, hidden
-                // behind the requester's transaction: bus occupancy and
-                // the owner's write buffer, no requester cycles.
-                let _ = self
-                    .bus
-                    .transaction_cycles(BusTx::Flush, FillSource::Memory);
-                let _ = self.cores[c].wb.push_line(now, line);
-                self.cores[c].metrics.writebacks += 1;
-                self.global.writebacks += 1;
-                if P::ENABLED {
-                    self.cores[c].probe.on_event(&Event::Writeback { line });
-                }
-            }
-            if r.next == LineState::Invalid {
-                self.cores[c].tags.invalidate(line);
-                let slot = std::mem::replace(&mut self.cores[c].slots[ridx], Slot::INVALID);
-                let false_sharing = slot.words >> writer_bit & 1 == 0;
-                self.stats.per_cpu[c].invalidations_received += 1;
-                self.stats.per_cpu[c].false_sharing_invalidations += u64::from(false_sharing);
-                self.stats.per_cpu[requester].invalidations_sent += 1;
-                self.emit(c, line, CoherenceOp::InvalidateRecv { false_sharing });
-                self.emit(requester, line, CoherenceOp::InvalidateSent);
-                if P::ENABLED {
-                    self.cores[c]
-                        .probe
-                        .on_event(&Event::MainEvict { line, dirty: false });
-                }
-            } else {
-                self.cores[c].slots[ridx].state = r.next;
-                self.cores[c].tags.entry_at_mut(ridx).dirty = r.next.is_dirty();
-                out.holders_after += 1;
-            }
-        }
-        if owner_supplier.is_some() {
-            out.supplier = owner_supplier;
-        }
-        out
-    }
-
-    /// Broadcasts a word update to every remote copy (update-based
-    /// protocols): the copies stay valid and demote per
-    /// [`CoherenceProtocol::snoop_update`].
-    fn update_remotes(&mut self, writer: usize, line: u64) {
-        for c in 0..self.cores.len() {
-            if c == writer {
-                continue;
-            }
-            let Some(ridx) = self.cores[c].tags.peek(line) else {
-                continue;
-            };
-            let next = Proto::snoop_update(self.cores[c].slots[ridx].state);
-            self.cores[c].slots[ridx].state = next;
-            self.cores[c].tags.entry_at_mut(ridx).dirty = next.is_dirty();
-        }
-        self.stats.per_cpu[writer].updates += 1;
-        self.emit(writer, line, CoherenceOp::Update);
-    }
-
     /// Processes one reference, routed to its CPU's private cache.
     pub fn access(&mut self, a: &Access) {
         let cpu = a.cpu() as usize;
@@ -429,157 +337,138 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
             "trace names cpu {cpu} but the system has {} CPUs",
             self.cores.len()
         );
+        self.global = OnceCell::new();
+        let core = &mut self.cores[cpu];
+        core.sys_mut().clock_mut().swap(&mut self.clock);
+        let mut look = core.begin(a);
+        if look.hit.is_none() || a.kind().is_write() {
+            look.bus_cycles = self.snoop(cpu, a, look);
+        }
+        let core = &mut self.cores[cpu];
+        core.finish(a, look);
+        core.sys_mut().clock_mut().swap(&mut self.clock);
+    }
+
+    /// The bus side of `cpu`'s miss or write hit, between the engine's
+    /// two halves: snoops the other caches and prices the transaction.
+    /// Returns the bus cycles the reference pays beyond its hit or fill.
+    fn snoop(&mut self, cpu: usize, a: &Access, look: Lookup) -> u64 {
         let is_write = a.kind().is_write();
-        self.cores[cpu].metrics.record_ref(is_write);
-        self.global.record_ref(is_write);
-        let stall = self.clock.arrive(a.gap());
-        self.cores[cpu].metrics.stall_cycles += stall;
-        self.global.stall_cycles += stall;
-        let line = self.geom.line_of(a.addr());
-        let bit = self.word_bit(a.addr(), line);
-        if P::ENABLED {
-            self.cores[cpu].probe.on_ref(a.addr(), line, is_write);
-        }
-        let idx = if let Some(idx) = self.cores[cpu].tags.probe(line) {
-            self.hit(cpu, idx, line, bit, is_write, stall);
-            idx
-        } else {
-            self.miss(cpu, a.addr(), line, bit, is_write, stall)
+        let me = &self.cores[cpu];
+        let req = Snoop {
+            line: look.line,
+            tx: if is_write {
+                BusTx::BusRdX
+            } else {
+                BusTx::BusRd
+            },
+            word: me.policy().sidecar().word(a.addr()),
+            now: me.sys().now(),
         };
-        // Note the touched word *after* the snoop so a write's own mask
-        // bit never classifies its victims.
-        self.cores[cpu].slots[idx].words |= 1 << bit;
-        self.cores[cpu].metrics.debug_check_invariants();
-        self.global.debug_check_invariants();
-    }
-
-    fn hit(&mut self, cpu: usize, idx: usize, line: u64, bit: u32, is_write: bool, stall: u64) {
-        self.cores[cpu].metrics.main_hits += 1;
-        self.global.main_hits += 1;
-        let mut cost = stall + MAIN_HIT_CYCLES;
-        if is_write {
-            let state = self.cores[cpu].slots[idx].state;
+        if let Some(idx) = look.hit {
+            let state = me.policy().sidecar().slots[idx].state;
             // Under SWMR an M or E copy is the only copy: skip the scan.
-            let exclusive = matches!(state, LineState::Modified | LineState::Exclusive);
-            debug_assert!(!exclusive || self.remote_holders(cpu, line) == 0);
-            let shared_elsewhere = !exclusive && self.remote_holders(cpu, line) > 0;
-            let (next, action) = Proto::write_hit(state, shared_elsewhere);
-            match action {
-                WriteHitAction::Upgrade => {
-                    cost += self
-                        .bus
-                        .transaction_cycles(BusTx::BusUpgr, FillSource::Memory);
-                    self.stats.per_cpu[cpu].upgrades += 1;
-                    self.emit(cpu, line, CoherenceOp::Upgrade);
-                    self.snoop_remotes(cpu, line, true, bit);
-                }
-                WriteHitAction::Update => {
-                    cost += self
-                        .bus
-                        .transaction_cycles(BusTx::BusUpgr, FillSource::Memory);
-                    self.update_remotes(cpu, line);
-                }
-                WriteHitAction::None => {}
-            }
-            self.cores[cpu].slots[idx].state = next;
-            self.cores[cpu].tags.entry_at_mut(idx).dirty = next.is_dirty();
+            let shared = !matches!(state, LineState::Modified | LineState::Exclusive)
+                && self
+                    .cores
+                    .iter()
+                    .enumerate()
+                    .any(|(c, core)| c != cpu && core.policy().tags().peek(req.line).is_some());
+            let (next, action) = Proto::write_hit(state, shared);
+            self.cores[cpu].policy_mut().sidecar_mut().slots[idx].state = next;
+            return match action {
+                WriteHitAction::None => 0,
+                WriteHitAction::Upgrade => self.bus_upgrade(cpu, &req, CoherenceOp::Upgrade),
+                WriteHitAction::Update => self.bus_upgrade(cpu, &req, CoherenceOp::Update),
+            };
         }
-        self.charge(cpu, cost);
-    }
-
-    /// Handles a miss and returns the slot the line was filled into.
-    fn miss(
-        &mut self,
-        cpu: usize,
-        addr: u64,
-        line: u64,
-        bit: u32,
-        is_write: bool,
-        stall: u64,
-    ) -> usize {
-        self.cores[cpu].metrics.misses += 1;
-        self.global.misses += 1;
-        let snoop = self.snoop_remotes(cpu, line, is_write, bit);
+        let (supplied, shared) = self.snoop_remotes(cpu, &req);
         // A pending write-buffer entry anywhere (own buffer included)
         // still holds the newest copy: it must answer before memory.
-        let now = self.clock.now();
-        let wb_forward = self.cores.iter().any(|c| c.wb.snoop(now, line));
-        let source = if snoop.supplier.is_some() || wb_forward {
+        let source = if supplied {
+            self.stats.per_cpu[cpu].c2c_fills += 1;
+            self.emit(cpu, req.line, CoherenceOp::C2CFill);
+            FillSource::CacheToCache
+        } else if self
+            .cores
+            .iter()
+            .any(|c| c.sys().write_buffer_holds(req.now, req.line))
+        {
+            self.stats.per_cpu[cpu].wb_forwards += 1;
+            self.emit(cpu, req.line, CoherenceOp::WbForward);
             FillSource::CacheToCache
         } else {
             FillSource::Memory
         };
-        let tx = if is_write {
-            BusTx::BusRdX
-        } else {
-            BusTx::BusRd
-        };
-        let mut cost = stall + self.bus.transaction_cycles(tx, source);
-        if source == FillSource::CacheToCache {
-            if snoop.supplier.is_some() {
-                self.stats.per_cpu[cpu].c2c_fills += 1;
-                self.emit(cpu, line, CoherenceOp::C2CFill);
-            } else {
-                self.stats.per_cpu[cpu].wb_forwards += 1;
-                self.emit(cpu, line, CoherenceOp::WbForward);
-            }
-        }
-        self.cores[cpu]
-            .metrics
-            .record_fetch(1, self.geom.line_bytes());
-        self.global.record_fetch(1, self.geom.line_bytes());
-        let way = self.cores[cpu].tags.victim_way(line);
-        let vidx = self.geom.set_of_line(line) as usize * self.geom.ways() as usize + way;
-        let new_state = if is_write {
-            Proto::fill_write(snoop.holders_after > 0)
-        } else {
-            Proto::fill_read(snoop.holders_after > 0)
-        };
-        let old = self.cores[cpu]
-            .tags
-            .fill(line, way, addr, new_state.is_dirty());
-        if old.valid && old.dirty {
-            self.cores[cpu].metrics.writebacks += 1;
-            self.global.writebacks += 1;
-            let wb_stall = self.cores[cpu].wb.push_line(now, old.line);
-            self.cores[cpu].metrics.stall_cycles += wb_stall;
-            self.global.stall_cycles += wb_stall;
-            cost += wb_stall;
-            if P::ENABLED {
-                self.cores[cpu]
-                    .probe
-                    .on_event(&Event::Writeback { line: old.line });
-            }
-        }
-        self.cores[cpu].slots[vidx] = Slot {
-            state: new_state,
-            words: 0,
-        };
-        if P::ENABLED {
-            let victim = old.valid.then_some(sac_obs::Victim {
-                line: old.line,
-                dirty: old.dirty,
-            });
-            self.cores[cpu].probe.on_event(&Event::Miss {
-                line,
-                set: self.geom.set_of_line(line),
-                is_write,
-                victim,
-            });
-            self.cores[cpu]
-                .probe
-                .on_event(&Event::LineFill { line, demand: true });
-        }
-        // An update-based write miss fetches with BusRd and then
+        let side = self.cores[cpu].policy_mut().sidecar_mut();
+        side.shared = shared;
+        side.fill_cycles = self.bus.transaction_cycles(req.tx, source);
+        // An update-based write miss fetches the line and then
         // broadcasts the written word to the surviving copies.
-        if Proto::UPDATE_BASED && is_write && snoop.holders_after > 0 {
-            cost += self
-                .bus
-                .transaction_cycles(BusTx::BusUpgr, FillSource::Memory);
-            self.update_remotes(cpu, line);
+        if Proto::UPDATE_BASED && is_write && shared {
+            self.bus_upgrade(cpu, &req, CoherenceOp::Update)
+        } else {
+            0
         }
-        self.charge(cpu, cost);
-        vidx
+    }
+
+    /// Puts `cpu`'s BusUpgr for `req.line` on the bus: an ownership
+    /// upgrade, or a word update under an update-based protocol.
+    fn bus_upgrade(&mut self, cpu: usize, req: &Snoop, op: CoherenceOp) -> u64 {
+        let stats = &mut self.stats.per_cpu[cpu];
+        if op == CoherenceOp::Update {
+            stats.updates += 1;
+        } else {
+            stats.upgrades += 1;
+        }
+        self.emit(cpu, req.line, op);
+        let req = Snoop {
+            tx: BusTx::BusUpgr,
+            ..*req
+        };
+        self.snoop_remotes(cpu, &req);
+        self.bus
+            .transaction_cycles(BusTx::BusUpgr, FillSource::Memory)
+    }
+
+    /// Runs every other cache's snoop hook for `requester`'s
+    /// transaction, books the flushes and invalidations, and returns
+    /// whether any copy could supply the line and whether any survives.
+    fn snoop_remotes(&mut self, requester: usize, req: &Snoop) -> (bool, bool) {
+        let (mut supplied, mut shared) = (false, false);
+        for c in (0..self.cores.len()).filter(|&c| c != requester) {
+            let r = self.cores[c].snoop(req);
+            supplied |= r.supply;
+            shared |= r.holds;
+            if r.flushed {
+                // The owner's flush hides behind the requester's
+                // transaction: bus occupancy and the owner's write
+                // buffer, no requester cycles.
+                let _ = self
+                    .bus
+                    .transaction_cycles(BusTx::Flush, FillSource::Memory);
+            }
+            if let Some(false_sharing) = r.invalidated {
+                let victim = &mut self.stats.per_cpu[c];
+                victim.invalidations_received += 1;
+                victim.false_sharing_invalidations += u64::from(false_sharing);
+                self.stats.per_cpu[requester].invalidations_sent += 1;
+                self.emit(c, req.line, CoherenceOp::InvalidateRecv { false_sharing });
+                self.emit(requester, req.line, CoherenceOp::InvalidateSent);
+            }
+        }
+        (supplied, shared)
+    }
+
+    #[inline]
+    fn emit(&mut self, cpu: usize, line: u64, op: CoherenceOp) {
+        if P::ENABLED {
+            self.cores[cpu].probe_mut().on_event(&Event::Coherence {
+                cpu: cpu as u8,
+                line,
+                op,
+            });
+        }
     }
 
     /// Verifies the single-writer/multiple-reader invariant over every
@@ -588,12 +477,12 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
     pub fn check_swmr(&self) -> Result<(), String> {
         let mut by_line: BTreeMap<u64, Vec<(usize, LineState)>> = BTreeMap::new();
         for (c, core) in self.cores.iter().enumerate() {
-            for idx in 0..self.geom.lines() as usize {
-                let e = core.tags.entry_at(idx);
+            let tags = core.policy().tags();
+            for (idx, slot) in core.policy().sidecar().slots.iter().enumerate() {
+                let (e, s) = (tags.entry_at(idx), slot.state);
                 if !e.valid {
                     continue;
                 }
-                let s = core.slots[idx].state;
                 if !s.is_valid() {
                     return Err(format!(
                         "cpu {c} holds line {} with Invalid protocol state",
@@ -634,7 +523,7 @@ impl<Proto: CoherenceProtocol, P: Probe> CoherentSystem<Proto, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CacheSim, StandardCache, SNOOP_CYCLES};
+    use crate::{StandardCache, MAIN_HIT_CYCLES, SNOOP_CYCLES};
     use sac_trace::interleave_round_robin;
 
     fn small_geom() -> CacheGeometry {
@@ -797,7 +686,8 @@ mod tests {
         let mut sys: CoherentSystem<Mesi> =
             CoherentSystem::new(small_geom(), MemoryModel::default(), 4);
         sys.run(&t);
-        assert_eq!(sys.merged_core_metrics(), *sys.metrics());
+        let merged = Metrics::merged((0..4).map(|c| sys.core_metrics(c)));
+        assert_eq!(merged, *sys.metrics());
         sys.check_swmr().unwrap();
     }
 

@@ -68,20 +68,22 @@ pub use bus::{BusTx, FillSource, SnoopBus};
 pub use bypass::{BypassCache, BypassMode, BypassPolicy};
 pub use classify::{classify_misses, MissClasses};
 pub use clock::Clock;
-pub use coherence::{CoherenceProtocol, Dragon, LineState, Mesi, SnoopReaction, WriteHitAction};
+pub use coherence::{
+    CoherenceProtocol, Dragon, LineState, Mesi, Snoop, SnoopReaction, SnoopReply, WriteHitAction,
+};
 pub use coherent::{CoherenceStats, CoherentSystem, CpuCoherence};
 pub use colassoc::{ColAssocPolicy, ColumnAssociativeCache};
 pub use config::{CacheGeometry, MemoryModel};
 pub use engine::CacheSim;
 pub use lockstep::run_lockstep;
-pub use memsys::{CacheEngine, CachePolicy, MemorySystem};
+pub use memsys::{CacheEngine, CachePolicy, Lookup, MemorySystem};
 pub use metrics::{ChunkDelta, Metrics};
 pub use prefetch::{NextLinePrefetchCache, PrefetchPolicy};
-pub use standard::{StandardCache, StandardPolicy};
+pub use standard::{Sidecar, StandardCache, StandardPolicy};
 pub use stream::{StreamBufferCache, StreamPolicy};
 pub use tagarray::{Entry, TagArray};
 pub use victim::{VictimCache, VictimPolicy};
-pub use writebuf::{SnoopWriteBuffer, WriteBuffer};
+pub use writebuf::WriteBuffer;
 
 /// Access cost of a main-cache hit, in cycles.
 pub const MAIN_HIT_CYCLES: u64 = 1;

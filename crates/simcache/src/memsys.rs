@@ -17,8 +17,8 @@
 
 use crate::clock::Clock;
 use crate::{
-    CacheGeometry, CacheSim, ChunkDelta, MemoryModel, Metrics, SnoopBus, WriteBuffer,
-    MAIN_HIT_CYCLES,
+    CacheGeometry, CacheSim, ChunkDelta, MemoryModel, Metrics, Snoop, SnoopBus, SnoopReply,
+    WriteBuffer, MAIN_HIT_CYCLES,
 };
 use sac_obs::{Event, NoopProbe, Probe};
 use sac_trace::Access;
@@ -30,9 +30,9 @@ use sac_trace::Access;
 ///
 /// Policies never touch a clock, a bus or a write buffer directly; they
 /// ask the memory system to fetch lines, write back victims or lock the
-/// cache, and the memory system keeps the books. A uniprocessor system
-/// owns its bus privately; the multi-core [`crate::CoherentSystem`]
-/// shares one bus across all cores instead.
+/// cache, and the memory system keeps the books. Every cache owns one;
+/// the cores of a [`crate::CoherentSystem`] share its clock and price
+/// their fills on its bus instead of their own.
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
     bus: SnoopBus,
@@ -60,25 +60,6 @@ impl MemorySystem {
         self.bus.memory()
     }
 
-    /// The physical line size the write buffer and fetch costing use.
-    #[inline]
-    pub fn line_bytes(&self) -> u64 {
-        self.bus.line_bytes()
-    }
-
-    /// The bus this system charges transfers through.
-    #[inline]
-    pub fn bus(&self) -> &SnoopBus {
-        &self.bus
-    }
-
-    /// The bus, mutably (coherent drivers price snoop transactions
-    /// directly).
-    #[inline]
-    pub fn bus_mut(&mut self) -> &mut SnoopBus {
-        &mut self.bus
-    }
-
     /// The metrics accumulated so far.
     #[inline]
     pub fn metrics(&self) -> &Metrics {
@@ -96,6 +77,13 @@ impl MemorySystem {
     #[inline]
     pub fn now(&self) -> u64 {
         self.clock.now()
+    }
+
+    /// The clock, mutably: a multi-core driver swaps its shared clock in
+    /// while a core acts.
+    #[inline]
+    pub fn clock_mut(&mut self) -> &mut Clock {
+        &mut self.clock
     }
 
     /// Advances the clock to the access's issue time and waits out any
@@ -148,22 +136,37 @@ impl MemorySystem {
         self.bus.line_transfer_cycles()
     }
 
-    /// Sends one dirty line to the write buffer, counting the write-back;
-    /// returns the stall (0 unless the buffer was full). The caller
-    /// decides whether the stall is charged to `stall_cycles` — the
-    /// organizations differ on whether write-buffer pressure hides under
-    /// the miss penalty.
+    /// Sends the dirty line `line` to the write buffer, counting the
+    /// write-back; returns the stall (0 unless the buffer was full). The
+    /// caller decides whether the stall is charged to `stall_cycles` —
+    /// the organizations differ on whether write-buffer pressure hides
+    /// under the miss penalty.
     #[inline]
-    pub fn writeback(&mut self) -> u64 {
-        self.metrics.writebacks += 1;
-        self.wb.push(self.clock.now())
+    pub fn writeback(&mut self, line: u64) -> u64 {
+        self.writeback_at(self.clock.now(), line)
     }
 
-    /// Pushes a bypassed store into the write buffer *without* counting a
-    /// write-back (no cache line is being retired); returns the stall.
+    /// [`MemorySystem::writeback`] timed by another cache's bus
+    /// transaction at cycle `now` (a snooped flush).
     #[inline]
-    pub fn buffer_store(&mut self) -> u64 {
-        self.wb.push(self.clock.now())
+    pub fn writeback_at(&mut self, now: u64, line: u64) -> u64 {
+        self.metrics.writebacks += 1;
+        self.wb.push(now, line)
+    }
+
+    /// Pushes a bypassed store to `line` into the write buffer *without*
+    /// counting a write-back (no cache line is being retired); returns
+    /// the stall.
+    #[inline]
+    pub fn buffer_store(&mut self, line: u64) -> u64 {
+        self.wb.push(self.clock.now(), line)
+    }
+
+    /// Whether a write pending in the write buffer at `now` holds `line`
+    /// (see [`WriteBuffer::snoop`]).
+    #[inline]
+    pub fn write_buffer_holds(&self, now: u64, line: u64) -> bool {
+        self.wb.snoop(now, line)
     }
 
     /// Whether a write-buffer push right now would stall (§2.2: a bounce
@@ -218,6 +221,28 @@ pub trait CachePolicy<P: Probe> {
     /// written back (the engine counts them and emits the
     /// [`Event::Flush`]).
     fn flush(&mut self) -> u64;
+
+    /// The snoop hook: reacts to another cache's bus transaction `req`
+    /// and reports what this cache did. The default holds nothing;
+    /// [`crate::StandardPolicy`] answers from its per-slot sidecar.
+    #[inline]
+    fn snoop(&mut self, _sys: &mut MemorySystem, _probe: &mut P, _req: &Snoop) -> SnoopReply {
+        SnoopReply::default()
+    }
+}
+
+/// What [`CacheEngine::begin`] found for one reference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lookup {
+    /// The referenced line.
+    pub line: u64,
+    /// The arrival stall, already recorded.
+    pub stall: u64,
+    /// The main-array slot on a hit.
+    pub hit: Option<usize>,
+    /// Bus cycles a coherent driver adds before [`CacheEngine::finish`]
+    /// (an upgrade or a word update); 0 otherwise.
+    pub bus_cycles: u64,
 }
 
 /// A complete cache simulator: a [`CachePolicy`] composed with the
@@ -252,11 +277,6 @@ impl<Pol, P: Probe> CacheEngine<Pol, P> {
         &mut self.policy
     }
 
-    /// The memory model the engine charges costs against.
-    pub fn memory(&self) -> MemoryModel {
-        self.sys.memory()
-    }
-
     /// The attached probe.
     pub fn probe(&self) -> &P {
         &self.probe
@@ -271,6 +291,16 @@ impl<Pol, P: Probe> CacheEngine<Pol, P> {
     pub fn into_probe(self) -> P {
         self.probe
     }
+
+    /// The memory system (clock, write buffer, counters).
+    pub fn sys(&self) -> &MemorySystem {
+        &self.sys
+    }
+
+    /// The memory system, mutably.
+    pub fn sys_mut(&mut self) -> &mut MemorySystem {
+        &mut self.sys
+    }
 }
 
 impl<Pol: CachePolicy<P>, P: Probe> CacheEngine<Pol, P> {
@@ -278,10 +308,11 @@ impl<Pol: CachePolicy<P>, P: Probe> CacheEngine<Pol, P> {
     pub fn geometry(&self) -> CacheGeometry {
         self.policy.geometry()
     }
-}
 
-impl<Pol: CachePolicy<P>, P: Probe> CacheSim for CacheEngine<Pol, P> {
-    fn access(&mut self, a: &Access) {
+    /// The front half of [`CacheSim::access`]: counts the reference,
+    /// waits out its arrival and probes the main array.
+    #[inline]
+    pub fn begin(&mut self, a: &Access) -> Lookup {
         let is_write = a.kind().is_write();
         self.sys.metrics_mut().record_ref(is_write);
         let stall = self.sys.arrive(a.gap());
@@ -292,20 +323,46 @@ impl<Pol: CachePolicy<P>, P: Probe> CacheSim for CacheEngine<Pol, P> {
         if P::ENABLED {
             self.probe.on_ref(a.addr(), line, is_write);
         }
-        if let Some(idx) = self.policy.probe_main(line) {
+        Lookup {
+            line,
+            stall,
+            hit: self.policy.probe_main(line),
+            bus_cycles: 0,
+        }
+    }
+
+    /// The back half of [`CacheSim::access`]: the hit or the policy's
+    /// miss handling, with the cost charged.
+    #[inline]
+    pub fn finish(&mut self, a: &Access, look: Lookup) {
+        if let Some(idx) = look.hit {
             self.policy.touch_hit(idx, a);
             self.sys.metrics_mut().main_hits += 1;
-            self.sys.charge(stall + MAIN_HIT_CYCLES);
+            self.sys
+                .charge(look.stall + MAIN_HIT_CYCLES + look.bus_cycles);
         } else {
-            let (cost, lock) = self
-                .policy
-                .miss(&mut self.sys, &mut self.probe, line, stall, a);
-            self.sys.charge(cost);
+            let (cost, lock) =
+                self.policy
+                    .miss(&mut self.sys, &mut self.probe, look.line, look.stall, a);
+            self.sys.charge(cost + look.bus_cycles);
             if lock > 0 {
                 self.sys.lock_for(lock);
             }
         }
         self.sys.metrics().debug_check_invariants();
+    }
+
+    /// Runs the policy's snoop hook for another cache's transaction.
+    #[inline]
+    pub fn snoop(&mut self, req: &Snoop) -> SnoopReply {
+        self.policy.snoop(&mut self.sys, &mut self.probe, req)
+    }
+}
+
+impl<Pol: CachePolicy<P>, P: Probe> CacheSim for CacheEngine<Pol, P> {
+    fn access(&mut self, a: &Access) {
+        let look = self.begin(a);
+        self.finish(a, look);
     }
 
     fn run_chunk(&mut self, chunk: &[Access]) {
@@ -388,10 +445,12 @@ mod tests {
     #[test]
     fn writeback_counts_and_buffer_store_does_not() {
         let mut sys = MemorySystem::new(MemoryModel::default(), 32);
-        assert_eq!(sys.writeback(), 0);
-        assert_eq!(sys.buffer_store(), 0);
+        assert_eq!(sys.writeback(3), 0);
+        assert_eq!(sys.buffer_store(4), 0);
         assert_eq!(sys.metrics().writebacks, 1);
         assert!(!sys.write_buffer_full());
+        assert!(sys.write_buffer_holds(0, 3) && sys.write_buffer_holds(0, 4));
+        assert!(!sys.write_buffer_holds(0, 5));
     }
 
     #[test]

@@ -1,29 +1,93 @@
 //! The Standard baseline: a plain write-back, write-allocate LRU cache.
 
-use crate::{CacheEngine, CacheGeometry, CachePolicy, MemoryModel, MemorySystem, TagArray};
+use crate::{
+    CacheEngine, CacheGeometry, CachePolicy, MemoryModel, MemorySystem, Snoop, SnoopReply, TagArray,
+};
 use sac_obs::{Event, NoopProbe, Probe, Victim};
 use sac_trace::Access;
 
+/// The per-slot metadata a [`StandardPolicy`] keeps beside its tag
+/// array, with the hooks through which the cache joins a coherent
+/// system. `()` is the uniprocessor sidecar: zero-sized, every hook the
+/// no-op default, so a plain [`StandardCache`] compiles to the bare LRU
+/// cache. The cores of a [`crate::CoherentSystem`] carry a protocol
+/// state and a touched-word mask per slot.
+pub trait Sidecar: Clone + std::fmt::Debug {
+    /// Prices the line fetch of a miss and returns its cycles.
+    #[inline]
+    fn fetch(&mut self, sys: &mut MemorySystem) -> u64 {
+        sys.fetch_lines(1)
+    }
+
+    /// `a`'s line was just filled into `way` of its set.
+    #[inline]
+    fn filled(&mut self, _tags: &TagArray, _line: u64, _way: usize, _a: &Access) {}
+
+    /// Slot `idx` was just hit by `a`.
+    #[inline]
+    fn touched(&mut self, _idx: usize, _a: &Access) {}
+
+    /// The [`CachePolicy::snoop`] hook over the tag array this sidecar
+    /// describes.
+    #[inline]
+    fn snoop<P: Probe>(
+        &mut self,
+        _tags: &mut TagArray,
+        _sys: &mut MemorySystem,
+        _probe: &mut P,
+        _req: &Snoop,
+    ) -> SnoopReply {
+        SnoopReply::default()
+    }
+}
+
+impl Sidecar for () {}
+
 /// The policy of the paper's *Standard* cache: a bare LRU tag array over
 /// the shared memory system. On a miss it fetches one line, fills it and
-/// writes back the dirty victim.
+/// writes back the dirty victim. The [`Sidecar`] `S` is `()` except in a
+/// coherent system.
 #[derive(Debug, Clone)]
-pub struct StandardPolicy {
+pub struct StandardPolicy<S = ()> {
     geom: CacheGeometry,
     tags: TagArray,
+    side: S,
 }
 
 impl StandardPolicy {
     /// Creates the policy state for `geom`.
     pub fn new(geom: CacheGeometry) -> Self {
-        StandardPolicy {
-            geom,
-            tags: TagArray::new(geom),
-        }
+        StandardPolicy::with_sidecar(geom, ())
     }
 }
 
-impl<P: Probe> CachePolicy<P> for StandardPolicy {
+impl<S> StandardPolicy<S> {
+    /// Creates the policy state for `geom` with the sidecar `side`.
+    pub fn with_sidecar(geom: CacheGeometry, side: S) -> Self {
+        StandardPolicy {
+            geom,
+            tags: TagArray::new(geom),
+            side,
+        }
+    }
+
+    /// The tag array.
+    pub fn tags(&self) -> &TagArray {
+        &self.tags
+    }
+
+    /// The per-slot sidecar.
+    pub fn sidecar(&self) -> &S {
+        &self.side
+    }
+
+    /// The per-slot sidecar, mutably.
+    pub fn sidecar_mut(&mut self) -> &mut S {
+        &mut self.side
+    }
+}
+
+impl<P: Probe, S: Sidecar> CachePolicy<P> for StandardPolicy<S> {
     #[inline]
     fn geometry(&self) -> CacheGeometry {
         self.geom
@@ -39,6 +103,7 @@ impl<P: Probe> CachePolicy<P> for StandardPolicy {
         if a.kind().is_write() {
             self.tags.entry_at_mut(idx).dirty = true;
         }
+        self.side.touched(idx, a);
     }
 
     fn miss(
@@ -50,9 +115,10 @@ impl<P: Probe> CachePolicy<P> for StandardPolicy {
         a: &Access,
     ) -> (u64, u64) {
         sys.metrics_mut().misses += 1;
-        let mut cost = stall + sys.fetch_lines(1);
+        let mut cost = stall + self.side.fetch(sys);
         let way = self.tags.victim_way(line);
         let old = self.tags.fill(line, way, a.addr(), a.kind().is_write());
+        self.side.filled(&self.tags, line, way, a);
         if P::ENABLED {
             let victim = old.valid.then_some(Victim {
                 line: old.line,
@@ -72,7 +138,7 @@ impl<P: Probe> CachePolicy<P> for StandardPolicy {
             }
             // The 2-cycle transfer hides under the miss penalty; only
             // write-buffer pressure shows up as stall.
-            let wb_stall = sys.writeback();
+            let wb_stall = sys.writeback(old.line);
             sys.metrics_mut().stall_cycles += wb_stall;
             cost += wb_stall;
         }
@@ -81,6 +147,11 @@ impl<P: Probe> CachePolicy<P> for StandardPolicy {
 
     fn flush(&mut self) -> u64 {
         self.tags.invalidate_all()
+    }
+
+    #[inline]
+    fn snoop(&mut self, sys: &mut MemorySystem, probe: &mut P, req: &Snoop) -> SnoopReply {
+        self.side.snoop(&mut self.tags, sys, probe, req)
     }
 }
 

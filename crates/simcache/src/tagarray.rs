@@ -150,6 +150,12 @@ impl TagArray {
         best - base
     }
 
+    /// The global index of `way` in the set `line` maps to.
+    #[inline]
+    pub fn index(&self, line: u64, way: usize) -> usize {
+        self.set_range(line).start + way
+    }
+
     /// Reads the entry at `set_of(line)`/`way`.
     pub fn entry(&self, line: u64, way: usize) -> &Entry {
         &self.entries[self.set_range(line).start + way]

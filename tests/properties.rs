@@ -309,7 +309,7 @@ fn write_buffer_never_goes_back_in_time() {
         let pushes = 1 + rng.below(39);
         for _ in 0..pushes {
             now += rng.below(50);
-            let stall = wb.push(now);
+            let stall = wb.push(now, 0);
             // A stall is bounded by the full drain of the buffer.
             assert!(stall <= 4 * 3, "case {case}");
         }
